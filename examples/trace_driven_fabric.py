@@ -13,7 +13,8 @@ Run with::
 
 import numpy as np
 
-from repro.simulation import FrameTracer, MultiHopNetwork, PortConfig
+from repro.obs import Observability
+from repro.simulation import MultiHopNetwork, PortConfig
 from repro.topology import fat_tree, hosts
 from repro.viz import format_table
 from repro.workloads import TraceConfig, generate_trace
@@ -41,12 +42,10 @@ def main() -> None:
           f"{trace.elephant_share(threshold_bits=8e6):.0%} of bytes")
 
     config = PortConfig(q0=100e3, buffer_bits=1.2e6, pm=0.05, min_rate=10e6)
+    # every port narrates its control plane (bcn / pause / drop) here
+    obs = Observability(max_trace_events=20_000)
     network = MultiHopNetwork(fabric, trace.flows, config,
-                              propagation_delay=1e-6)
-    # peek at one port's data plane with the tracer
-    tracer = FrameTracer(max_events=20_000)
-    some_port = next(iter(network.ports.values()))
-    tracer.attach_switch(some_port)
+                              propagation_delay=1e-6, obs=obs)
     result = network.run(0.5)
 
     # FCT by size class
@@ -83,7 +82,16 @@ def main() -> None:
         1 for series in result.port_queues.values() if series.max() > 0)
     print(f"ports that ever queued: {busy_ports}/{len(result.port_queues)} "
           "(congestion stays local; BCN's point)")
-    print(f"traced port sample: {tracer.summary()}")
+    node = f"{hot[0]}->{hot[1]}"
+    records = [r for r in obs.trace.records if r.node == node]
+    counts: dict[str, int] = {}
+    for r in records:
+        counts[r.kind] = counts.get(r.kind, 0) + 1
+    kinds = ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
+    span = (f" over [{records[0].t:.6f}, {records[-1].t:.6f}]s"
+            if records else "")
+    print(f"traced port sample: {node}: {len(records)} events "
+          f"({kinds}){span}")
 
 
 if __name__ == "__main__":

@@ -176,7 +176,7 @@ def _resolve_packet_engine(engine: str) -> str:
     """Downgrade ``compiled`` to ``batched`` when nothing can compile.
 
     The compiled engine is numerically identical to the batched engine
-    on every backend tier (the numpy tier literally delegates), so the
+    on every backend tier (the numpy tier runs the batched ops), so the
     fallback only changes speed — but the user asked for compiled, so
     say what they are actually getting and why.
     """
@@ -186,7 +186,7 @@ def _resolve_packet_engine(engine: str) -> str:
         if not get_backend().compiled:
             print(
                 "warning: no compiled kernel backend is available "
-                "(numba is not installed and no C compiler was found); "
+                "(no C compiler or cffi was found); "
                 "falling back to the batched engine",
                 file=sys.stderr,
             )
@@ -699,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one job to a running server")
     p_submit.add_argument("job", metavar="JOB_JSON",
                           help="job payload, e.g. '{\"kind\": \"scenario\", "
-                               "\"preset\": \"baseline-bcn\", \"seed\": 1}'")
+                               "\"preset\": \"dc-baseline\", \"seed\": 1}'")
     p_submit.add_argument("--host", default="127.0.0.1")
     p_submit.add_argument("--port", type=int, required=True)
     p_submit.add_argument("--timeout", type=float, default=300.0,

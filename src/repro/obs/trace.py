@@ -41,8 +41,8 @@ EVENT_KINDS = frozenset({
     "buffer_empty",    # queue pinned at zero
     "extremum",        # trajectory extremum (fluid return map)
     "converged",       # trajectory met the convergence criterion
-    "arrive",          # frame enqueued (packet engines, tracing only)
-    "depart",          # frame serviced (packet engines, tracing only)
+    "arrive",          # frame enqueued (reserved; no engine emits it)
+    "depart",          # frame serviced (reserved; no engine emits it)
     # Scenario-layer events (additive in schema v1): the declarative
     # schedule is known up front, so repro.scenarios emits these
     # identically for both packet engines.

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from ..simulation.engine import CalendarSimulator, Simulator, make_simulator
+from ..simulation.engine import CalendarSimulator, Simulator
 from ..simulation.frames import EthernetFrame
 from ..simulation.link import Link
 from ..simulation.multihop import QueueRecorder
@@ -419,10 +419,8 @@ def _make_kernel(plan: ShardPlan) -> Simulator:
         default=1e9,
     )
     slot = plan.frame_bits / fastest
-    if plan.engine == "batched":
+    if plan.engine in ("batched", "compiled"):
         return CalendarSimulator(slot_width=slot, n_slots=4096)
-    if plan.engine == "compiled":
-        return make_simulator("compiled", slot_width=slot, n_slots=4096)
     raise ValueError(f"unknown packet engine {plan.engine!r}")
 
 

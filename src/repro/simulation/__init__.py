@@ -39,9 +39,7 @@ __all__ = [
 ]
 
 from .multihop import MultiHopNetwork, MultiHopResult, PortConfig
-from .tracing import FrameTracer, TraceEvent
 from .wire import WIRE_LENGTH_BYTES, WireBCN, pack_bcn, unpack_bcn
 
 __all__ += ["MultiHopNetwork", "MultiHopResult", "PortConfig",
-            "pack_bcn", "unpack_bcn", "WireBCN", "WIRE_LENGTH_BYTES",
-            "FrameTracer", "TraceEvent"]
+            "pack_bcn", "unpack_bcn", "WireBCN", "WIRE_LENGTH_BYTES"]

@@ -432,24 +432,16 @@ def make_simulator(
 ) -> Simulator:
     """Build an event kernel by name.
 
-    ``"heap"`` and ``"calendar"`` are the reference kernels;
-    ``"compiled"`` (alias ``"compiled-calendar"``) is the calendar
-    queue with compiled slot scans from :mod:`repro.kernels`, which
-    degrades to the plain calendar when no compiled backend is
-    available.  ``slot_width=None`` lets the calendar derive its bucket
-    width from ``quantum_hint`` (see :class:`CalendarSimulator`).
+    ``"heap"`` is the binary-heap reference kernel and ``"calendar"``
+    the calendar queue; both fire events in the same order.
+    ``slot_width=None`` lets the calendar derive its bucket width from
+    ``quantum_hint`` (see :class:`CalendarSimulator`).
     """
     if kernel == "heap":
         return Simulator()
     if kernel == "calendar":
         return CalendarSimulator(slot_width=slot_width, n_slots=n_slots,
                                  quantum_hint=quantum_hint)
-    if kernel in ("compiled", "compiled-calendar"):
-        from ..kernels import CompiledCalendarSimulator
-
-        return CompiledCalendarSimulator(slot_width=slot_width,
-                                         n_slots=n_slots,
-                                         quantum_hint=quantum_hint)
     raise ValueError(f"unknown event kernel {kernel!r}")
 
 

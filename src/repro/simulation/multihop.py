@@ -39,7 +39,7 @@ import numpy as np
 
 from ..topology.routing import ecmp_route, route_edges
 from ..workloads.flows import FlowSpec
-from .engine import CalendarSimulator, Simulator, make_simulator
+from .engine import CalendarSimulator, Simulator
 from .frames import EthernetFrame
 from .link import Link
 from .network import PACKET_ENGINES
@@ -172,15 +172,12 @@ class MultiHopNetwork:
         Per-hop one-way delay.
     engine:
         ``"reference"`` runs on the binary-heap event kernel;
-        ``"batched"`` swaps in the calendar-queue kernel
-        (:class:`~repro.simulation.engine.CalendarSimulator`) with
-        slots sized to one frame service time at the fastest port;
-        ``"compiled"`` uses the calendar queue with compiled slot scans
-        (:func:`~repro.simulation.engine.make_simulator`), degrading to
-        the plain calendar without a compiled backend.  Event ordering
-        — and therefore every result — is identical across the three;
-        frame-train batching itself currently applies to the
-        single-bottleneck dumbbell only.
+        ``"batched"`` and ``"compiled"`` both swap in the calendar-queue
+        kernel (:class:`~repro.simulation.engine.CalendarSimulator`)
+        with slots sized to one frame service time at the fastest port.
+        Event ordering — and therefore every result — is identical
+        across the three; frame-train batching and the compiled window
+        kernels currently apply to the single-bottleneck dumbbell only.
     shards:
         ``None`` (default) runs the serial single-kernel engine.  An
         integer or ``"auto"`` runs the conservative sharded engine of
@@ -311,11 +308,7 @@ class MultiHopNetwork:
                 default=1e9,
             )
             slot = frame_bits / fastest
-            if engine == "compiled":
-                self.sim = make_simulator("compiled", slot_width=slot,
-                                          n_slots=4096)
-            else:
-                self.sim = CalendarSimulator(slot_width=slot, n_slots=4096)
+            self.sim = CalendarSimulator(slot_width=slot, n_slots=4096)
         else:
             self.sim = Simulator()
 

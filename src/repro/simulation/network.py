@@ -77,6 +77,220 @@ class _SeriesBuffer:
         return self._t[: self._n].copy(), self._v[: self._n].copy()
 
 
+class _Pacing:
+    """Per-source pacing state plus the batched engine's window ops.
+
+    The window loop calls ``plan`` → ``merge`` → (switch ``process``) →
+    ``commit`` → ``repay`` once per window.  Every op updates the state
+    arrays in place, never rebinding them, so the loop and the bound
+    compiled kernels of :class:`_CompiledPacing` share one copy.
+    """
+
+    def __init__(self, sources: list[TrafficSource], L: float,
+                 cpid: str) -> None:
+        n = len(sources)
+        self.rates = np.array([s.regulator.rate for s in sources])
+        self.gaps = L / self.rates
+        # First emission one gap after each flow's start time.
+        self.next_emit = np.array([s.start_time for s in sources]) + self.gaps
+        self.paused = np.zeros(n)
+        #: 1 where the source is associated with the congestion point.
+        self.assoc = np.array(
+            [s.regulator.associated_cpid == cpid for s in sources],
+            dtype=np.uint8,
+        )
+        #: Emitting sources; cleared on departure or flow completion.
+        self.active = np.ones(n, dtype=bool)
+        #: Frames each finite flow still has to send (inf = persistent).
+        self.remaining = np.array([
+            np.inf if s.total_bits is None
+            else float(np.ceil(s.total_bits / L))
+            for s in sources
+        ])
+        self.frames_acc = np.zeros(n, dtype=np.int64)
+        self.owed = np.zeros(n)  # lag-compensation ledger
+        # Per-window scratch: first emission and frame count per source,
+        # and the flows the last commit finished (index, finish time).
+        self.first = np.empty(n)
+        self.counts = np.empty(n, dtype=np.int64)
+        self.fin_idx = np.empty(n, dtype=np.int64)
+        self.fin_t = np.empty(n)
+        self._src_idx = np.arange(n)
+        self._empty = (np.empty(0), np.empty(0, dtype=np.int64),
+                       np.empty(0, dtype=bool))
+        self._srcs = self._empty[1]  # sources of the last merged train
+
+    def plan(self, until: float) -> int:
+        """Fill ``first``/``counts`` for the window; return the frame total."""
+        first = np.maximum(self.next_emit, self.paused, out=self.first)
+        counts_f = np.where(
+            self.active & (first <= until),
+            np.floor((until - first) / self.gaps) + 1.0,
+            0.0,
+        )
+        self.counts[:] = np.minimum(counts_f, self.remaining)
+        return int(self.counts.sum())
+
+    def merge(self, total: int, d: float):
+        """The planned trains as one time-sorted ``(times, srcs, assoc)``."""
+        if not total:
+            self._srcs = self._empty[1]
+            return self._empty
+        counts = self.counts
+        srcs = np.repeat(self._src_idx, counts)
+        ends = np.cumsum(counts)
+        offsets = np.arange(total) - np.repeat(ends - counts, counts)
+        times = (np.repeat(self.first, counts)
+                 + np.repeat(self.gaps, counts) * offsets + d)
+        order = np.argsort(times, kind="stable")
+        srcs = srcs[order]
+        self._srcs = srcs
+        return times[order], srcs, self.assoc[srcs].view(bool)
+
+    def commit(self, m_committed: int) -> int:
+        """Advance pacing by the committed prefix; return flows finished."""
+        n = self._src_idx.size
+        committed = (np.bincount(self._srcs[:m_committed], minlength=n)
+                     if m_committed else np.zeros(n, dtype=np.int64))
+        self.frames_acc += committed
+        has = committed > 0
+        first, gaps = self.first, self.gaps
+        self.next_emit[has] = first[has] + gaps[has] * committed[has]
+        held = (self.counts > 0) & ~has  # planned but cut off (PAUSE)
+        self.next_emit[held] = first[held]
+        self.remaining[has] -= committed[has]
+        done = np.nonzero(has & (self.remaining <= 0))[0]
+        if done.size:
+            self.fin_idx[:done.size] = done
+            self.fin_t[:done.size] = (first[done]
+                                      + gaps[done] * (committed[done] - 1))
+            self.active[done] = False
+        return done.size
+
+    def repay(self, until: float, nxt: float) -> None:
+        """Move movable next emissions earlier to repay the owed bits."""
+        if np.any(self.owed):
+            next_emit, rates = self.next_emit, self.rates
+            target = np.where(
+                next_emit > until,
+                np.maximum(next_emit - self.owed / rates, nxt),
+                next_emit,
+            )
+            self.owed -= (next_emit - target) * rates
+            next_emit[:] = target
+
+
+class _CompiledPacing(_Pacing):
+    """The same ops as closures bound by a compiled kernel backend.
+
+    Binding marshals the persistent arrays once (on the cffi tier, the
+    pointer casts) instead of on every window.  The merge buffers grow
+    on demand; growing re-binds the closures that captured them.
+    """
+
+    def __init__(self, sources: list[TrafficSource], L: float, cpid: str,
+                 be) -> None:
+        super().__init__(sources, L, cpid)
+        self._be = be
+        self._comm = np.empty(len(sources), dtype=np.int64)
+        # Sources with ``total_bits=None`` never finish, so the finish
+        # bookkeeping can be skipped wholesale for pure-elephant runs.
+        self._any_finite = 1 if np.isfinite(self.remaining).any() else 0
+        self._empty = (np.empty(0), np.empty(0, dtype=np.int64),
+                       np.empty(0, dtype=np.uint8))
+        self.plan = be.bind_pacing_plan(
+            self.next_emit, self.paused, self.active, self.remaining,
+            self.gaps, self.first, self.counts)
+        self.repay = be.bind_owed_repay(self.owed, self.next_emit, self.rates)
+        self._bind_merge(max(64, 4 * len(sources)))
+
+    def _bind_merge(self, size: int) -> None:
+        self._t = np.empty(size)
+        self._src = np.empty(size, dtype=np.int64)
+        self._assoc = np.empty(size, dtype=np.uint8)
+        self._merge = self._be.bind_merge_trains(
+            self.first, self.gaps, self.counts, self.assoc,
+            self._t, self._src, self._assoc)
+        self.commit = self._be.bind_pacing_commit(
+            self._src, self.first, self.gaps, self.counts, self._any_finite,
+            self.next_emit, self.remaining, self.active, self.frames_acc,
+            self._comm, self.fin_idx, self.fin_t)
+
+    def merge(self, total: int, d: float):
+        if not total:
+            return self._empty
+        if total > self._t.shape[0]:
+            self._bind_merge(2 * total)
+        self._merge(d)
+        return self._t[:total], self._src[:total], self._assoc[:total]
+
+
+_REGULATOR_MODES = {"message": 0, "fluid-euler": 1, "fluid-exact": 2}
+
+
+class _SoAMessages:
+    """BCN delivery to struct-of-array regulator state in one kernel call.
+
+    Valid only when every regulator follows the same law (gains, mode,
+    ``max_dt``) and no source has an ``on_rate_change`` observer; the
+    window loop otherwise delivers messages one by one through
+    :meth:`TrafficSource.receive_control`.
+    """
+
+    def __init__(self, be, regs: list[RateRegulator],
+                 pacing: _CompiledPacing, L: float, d: float) -> None:
+        reg0 = regs[0]
+        self._regs = regs
+        self._pacing = pacing
+        self._L = L
+        self.last_update = np.array([
+            np.nan if r._last_update is None else r._last_update
+            for r in regs
+        ])
+        self.updates = np.zeros(len(regs), dtype=np.int64)
+        self._out_d = np.empty(1)
+        self._apply = be.bind_apply_messages(
+            _REGULATOR_MODES[reg0.mode], reg0.gi, reg0.gd, reg0.ru,
+            -1.0 if reg0.max_dt is None else float(reg0.max_dt), d,
+            pacing.rates, self.last_update, pacing.assoc, self.updates,
+            np.array([r.min_rate for r in regs]),
+            np.array([r.line_rate for r in regs]),
+            pacing.owed, self._out_d)
+
+    @staticmethod
+    def uniform(sources: list[TrafficSource]) -> bool:
+        reg0 = sources[0].regulator
+        return reg0.mode in _REGULATOR_MODES and all(
+            s.on_rate_change is None
+            and s.regulator.gi == reg0.gi
+            and s.regulator.gd == reg0.gd
+            and s.regulator.ru == reg0.ru
+            and s.regulator.mode == reg0.mode
+            and s.regulator.max_dt == reg0.max_dt
+            for s in sources
+        )
+
+    def apply(self, window, total_rate: float) -> float:
+        """Apply the window's messages; return the new aggregate rate."""
+        if window.msg_t.size:
+            self._out_d[0] = total_rate
+            self._apply(window.msg_t, window.msg_src, window.msg_fb,
+                        window.msg_sigma, window.t_commit)
+            total_rate = float(self._out_d[0])
+            np.divide(self._L, self._pacing.rates, out=self._pacing.gaps)
+        return total_rate
+
+    def sync(self, cpid: str) -> None:
+        """Fold the array state back into the regulator objects."""
+        pacing = self._pacing
+        for i, reg in enumerate(self._regs):
+            reg.rate = float(pacing.rates[i])
+            lu = float(self.last_update[i])
+            reg._last_update = None if lu != lu else lu
+            reg.updates_applied += int(self.updates[i])
+            reg.associated_cpid = cpid if pacing.assoc[i] else None
+
+
 @dataclass
 class SimulationResult:
     """Outcome of a packet-level run.
@@ -177,8 +391,10 @@ class BCNNetworkSimulator:
         frame — the differential oracle) or ``"batched"`` (frame-train
         batching: sources plan whole emission trains as numpy arrays
         and the switch drains them through the vectorized
-        :class:`~repro.simulation.switch.BatchedSwitchKernel`).  Both
-        engines are deterministic; they agree within a documented
+        :class:`~repro.simulation.switch.BatchedSwitchKernel`) or
+        ``"compiled"`` (the same windows run through the
+        :mod:`repro.kernels` backend, bit-identical to ``"batched"``).
+        All engines are deterministic; they agree within a documented
         tolerance — the batched engine computes queue/sigma/sampling
         exactly but applies control messages to the regulators at
         window boundaries, so rate changes can lag their reference
@@ -428,15 +644,15 @@ class BCNNetworkSimulator:
         else:  # pragma: no cover - _register_event controls the kinds
             raise ValueError(f"unknown event kind {kind!r}")
 
-    def _run_batched(self, duration: float) -> None:
-        """Drive the scenario with frame-train batching.
+    def _run_windows(self, duration: float) -> None:
+        """Drive the scenario in control-quantum windows.
 
-        The run advances in control-quantum windows.  Within a window
-        every regulator's rate is frozen, so each source contributes an
-        arithmetic emission train (the maths of
+        The batched and compiled engines share this loop.  Within a
+        window every regulator's rate is frozen, so each source
+        contributes an arithmetic emission train (the maths of
         :meth:`~repro.simulation.source.TrafficSource.plan_train`, held
         vectorized across sources); the merged train goes through the
-        vectorized switch kernel, which returns the BCN messages (and
+        switch window kernel, which returns the BCN messages (and
         possibly a PAUSE) the window generated.  Control is delivered to
         the sources at the window boundary with its true timestamps —
         the regulator arithmetic (including the fluid modes' ``dt``
@@ -450,6 +666,18 @@ class BCNNetworkSimulator:
         stays sharp; a window where drop-tail engages is replayed
         frame-by-frame by the kernel's exact scalar fallback.
 
+        The engines differ only in the ops that plan, merge, commit and
+        repay the trains: ``engine="batched"`` runs numpy-vectorized
+        ops and the :class:`BatchedSwitchKernel`; ``engine="compiled"``
+        runs the bound kernels of :func:`repro.kernels.get_backend` and
+        a :class:`~repro.kernels.CompiledSwitchKernel`, and — when every
+        regulator follows the same law and no ``on_rate_change``
+        observer is attached — applies the BCN messages to
+        struct-of-array regulator state in one kernel call, folding it
+        back into the :class:`RateRegulator` objects at the end of the
+        run.  Without a compiled backend ``engine="compiled"`` runs the
+        numpy ops, which the kernels match bit-for-bit anyway.
+
         Timed events (:meth:`schedule_capacity`, :meth:`schedule_outage`,
         :meth:`schedule_departure`) are additional window boundaries:
         ``t_end`` clamps to the next event time, the event applies when
@@ -460,24 +688,46 @@ class BCNNetworkSimulator:
         train, and finite flows cap their train at the frames they have
         left.
         """
+        be = None
+        if self.engine == "compiled":
+            from ..kernels import get_backend
+
+            be = get_backend()
+            if not be.compiled:
+                be = None
         if any(s.muted for s in self.sources):
             raise NotImplementedError(
-                "the batched engine cannot pace initially-muted (on/off) "
-                "sources; use engine='reference' for those workloads"
+                f"the {self.engine} engine cannot pace initially-muted "
+                "(on/off) sources; use engine='reference' for those "
+                "workloads"
             )
         d = self._propagation_delay
         L = float(self.frame_bits)
         n = len(self.sources)
         cpid = self.switch.cpid
-        kernel = BatchedSwitchKernel(
-            self.switch,
-            self.frame_bits,
+        kernel_kw = dict(
             pause_fanout=n if self._enable_pause else 0,
             # Frames emitted before a PAUSE reaches their source (one
             # propagation delay control-path, then one data-path back)
             # are in flight and must land, as in the reference engine.
             pause_commit_horizon=2.0 * d,
         )
+        soa = None
+        if be is None:
+            kernel = BatchedSwitchKernel(self.switch, self.frame_bits,
+                                         **kernel_kw)
+            pacing = _Pacing(self.sources, L, cpid)
+        else:
+            from ..kernels import CompiledSwitchKernel, consume_warmup_span
+
+            if self.obs is not None:
+                consume_warmup_span(self.obs)
+            kernel = CompiledSwitchKernel(self.switch, self.frame_bits,
+                                          backend=be, **kernel_kw)
+            pacing = _CompiledPacing(self.sources, L, cpid, be)
+            if _SoAMessages.uniform(self.sources):
+                soa = _SoAMessages(
+                    be, [s.regulator for s in self.sources], pacing, L, d)
         self._batched_kernel = kernel
         # The auto quantum (2x the expected message interval) assumes the
         # run is long relative to the control loop; cap it so short runs
@@ -498,27 +748,10 @@ class BCNNetworkSimulator:
         grid_pos = 0
         self._record()
 
-        # Pacing state, one slot per source.
-        src_idx = np.arange(n)
-        rates = np.array([s.regulator.rate for s in self.sources])
+        rates, gaps, assoc = pacing.rates, pacing.gaps, pacing.assoc
+        paused, owed = pacing.paused, pacing.owed
         total_rate = float(rates.sum())
-        gaps = L / rates
-        # First emission one gap after each flow's start time.
-        next_emit = np.array([s.start_time for s in self.sources]) + gaps
-        paused = np.zeros(n)
-        assoc_flags = np.array(
-            [s.regulator.associated_cpid == cpid for s in self.sources]
-        )
-        #: Emitting sources; cleared on departure or flow completion.
-        active = np.ones(n, dtype=bool)
-        #: Frames each finite flow still has to send (inf = persistent).
-        remaining = np.array([
-            np.inf if s.total_bits is None
-            else float(np.ceil(s.total_bits / L))
-            for s in self.sources
-        ])
-        frames_acc = np.zeros(n, dtype=int)
-        owed_bits = np.zeros(n)  # lag-compensation ledger
+        plan, repay = pacing.plan, pacing.repay
 
         events = sorted(self._timed_events)
         ev_pos = 0
@@ -536,56 +769,21 @@ class BCNNetworkSimulator:
                     kernel.freeze_until(ev_t + payload[0])
                 elif kind == "departure":
                     self.sources[payload[0]].muted = True
-                    active[payload[0]] = False
+                    pacing.active[payload[0]] = False
             next_ev = events[ev_pos][0] if ev_pos < len(events) else np.inf
             t_end = min(t + quantum, duration, next_ev)
             until = t_end - d
-            first = np.maximum(next_emit, paused)
-            counts_f = np.where(
-                active & (first <= until),
-                np.floor((until - first) / gaps) + 1.0,
-                0.0,
-            )
-            counts = np.minimum(counts_f, remaining).astype(int)
-            total = int(counts.sum())
-            if total:
-                srcs = np.repeat(src_idx, counts)
-                ends = np.cumsum(counts)
-                offsets = np.arange(total) - np.repeat(ends - counts, counts)
-                times = (np.repeat(first, counts)
-                         + np.repeat(gaps, counts) * offsets + d)
-                order = np.argsort(times, kind="stable")
-                times = times[order]
-                srcs = srcs[order]
-                assoc = assoc_flags[srcs]
-            else:
-                times = np.empty(0)
-                srcs = np.empty(0, dtype=int)
-                assoc = np.empty(0, dtype=bool)
+            times, srcs, win_assoc = pacing.merge(int(plan(until)), d)
 
-            window = kernel.process(t, t_end, times, srcs, assoc)
+            window = kernel.process(t, t_end, times, srcs, win_assoc)
 
             # Advance each source's pacing by its committed prefix while
             # the planning rate is still in force.
-            committed = (
-                np.bincount(srcs[: window.committed], minlength=n)
-                if window.committed else np.zeros(n, dtype=int)
-            )
-            frames_acc += committed
-            has = committed > 0
-            next_emit[has] = first[has] + gaps[has] * committed[has]
-            held = (counts > 0) & ~has  # planned but cut off (PAUSE)
-            next_emit[held] = first[held]
-            remaining[has] -= committed[has]
-            finished = has & (remaining <= 0)
-            if np.any(finished):
-                for i in np.nonzero(finished)[0]:
-                    # Send-side FCT: emission time of the last frame,
-                    # matching TrafficSource._emit in the reference path.
-                    self.sources[i].finish_time = float(
-                        first[i] + gaps[i] * (committed[i] - 1)
-                    )
-                active[finished] = False
+            for k in range(int(pacing.commit(window.committed))):
+                # Send-side FCT: emission time of the last frame,
+                # matching TrafficSource._emit in the reference path.
+                self.sources[int(pacing.fin_idx[k])].finish_time = float(
+                    pacing.fin_t[k])
             self._delivered_bits += window.delivered_bits
 
             # Emit recorder samples covered by this window.
@@ -599,271 +797,8 @@ class BCNNetworkSimulator:
                 grid_pos = hi
 
             # Deliver the window's control plane in timestamp order.
-            for k in range(window.msg_t.size):
-                i = int(window.msg_src[k])
-                sent_at = float(window.msg_t[k])
-                deliver_at = sent_at + d
-                self.sim._now = deliver_at
-                source = self.sources[i]
-                rate_before = source.regulator.rate
-                source.receive_control(
-                    BCNMessage(
-                        da=i,
-                        sa=cpid,
-                        cpid=cpid,
-                        fb=float(window.msg_fb[k]),
-                        q_off=float(window.msg_q_off[k]),
-                        q_delta=float(window.msg_dq[k]),
-                        fb_raw=float(window.msg_sigma[k]),
-                        sent_at=sent_at,
-                    )
-                )
-                rate_after = source.regulator.rate
-                if rate_after != rate_before:
-                    delta = rate_after - rate_before
-                    owed_bits[i] += delta * max(
-                        window.t_commit - deliver_at, 0.0
-                    )
-                    total_rate += delta
-                    rates[i] = rate_after
-                    gaps[i] = L / rate_after
-                assoc_flags[i] = (
-                    source.regulator.associated_cpid == cpid
-                )
-            if window.pause_at is not None and self._enable_pause:
-                self.sim._now = window.pause_at + d
-                pause = PauseFrame(
-                    sa=cpid,
-                    duration=self._pause_duration,
-                    sent_at=window.pause_at,
-                )
-                for i, source in enumerate(self.sources):
-                    source.receive_control(pause)
-                    paused[i] = source.paused_until
-
-            # Repay the lag ledger: a positive balance means the new
-            # rate would have sent more bits before the boundary, so
-            # the next emission moves earlier (clamped to stay beyond
-            # the planned horizon; the unpaid remainder carries over).
-            # Sources holding a cut-off emission keep their schedule.
-            if np.any(owed_bits):
-                movable = next_emit > until
-                target = np.where(
-                    movable,
-                    np.maximum(next_emit - owed_bits / rates,
-                               np.nextafter(until, np.inf)),
-                    next_emit,
-                )
-                owed_bits -= (next_emit - target) * rates
-                next_emit = target
-
-            t = window.t_commit
-
-        for i, source in enumerate(self.sources):
-            source.frames_sent += int(frames_acc[i])
-            source.bits_sent += float(frames_acc[i]) * L
-            source._train_next = float(next_emit[i])
-        self.sim._now = duration
-
-    def _run_compiled(self, duration: float) -> None:
-        """Drive the scenario through the compiled window kernels.
-
-        Same orchestration as :meth:`_run_batched` — quantum windows,
-        boundary-applied control, the owed-bits lag ledger — but the
-        three hot loops run in compiled code: the per-source emission
-        trains merge through ``merge_trains`` instead of a
-        ``repeat``/``argsort`` pass, the switch window runs in a
-        :class:`~repro.kernels.CompiledSwitchKernel`, and each window's
-        BCN messages apply to struct-of-array regulator state through
-        ``apply_messages`` (the :class:`RateRegulator` objects are
-        synchronized once at the end of the run).  If no compiled
-        backend is available this delegates to :meth:`_run_batched`,
-        which the kernels match bit-for-bit anyway; if the sources
-        carry non-uniform regulator laws or ``on_rate_change``
-        observers, only the message delivery falls back to the python
-        loop so every observable stays exact.
-        """
-        from ..kernels import (CompiledSwitchKernel, consume_warmup_span,
-                               get_backend)
-
-        be = get_backend()
-        if not be.compiled:
-            self._run_batched(duration)
-            return
-        if any(s.muted for s in self.sources):
-            raise NotImplementedError(
-                "the compiled engine cannot pace initially-muted (on/off) "
-                "sources; use engine='reference' for those workloads"
-            )
-        if self.obs is not None:
-            consume_warmup_span(self.obs)
-        d = self._propagation_delay
-        L = float(self.frame_bits)
-        n = len(self.sources)
-        cpid = self.switch.cpid
-        kernel = CompiledSwitchKernel(
-            self.switch,
-            self.frame_bits,
-            pause_fanout=n if self._enable_pause else 0,
-            pause_commit_horizon=2.0 * d,
-            backend=be,
-        )
-        self._batched_kernel = kernel
-        quantum = self._control_quantum
-        if not self._quantum_explicit:
-            quantum = min(quantum, duration / 32.0)
-        dt = self._queue_dt
-
-        ticks = dt * np.arange(1, int(np.floor(duration / dt + 1e-9)) + 1)
-        grid = np.concatenate([ticks[ticks <= duration], [duration]])
-        grid_pos = 0
-        self._record()
-
-        # Pacing state (identical layout to the batched engine) plus the
-        # struct-of-array regulator mirror the message kernel updates in
-        # place: ``rates``/``owed_bits`` serve both roles directly.
-        regs = [s.regulator for s in self.sources]
-        rates = np.array([r.rate for r in regs])
-        total_rate = float(rates.sum())
-        gaps = L / rates
-        next_emit = np.array([s.start_time for s in self.sources]) + gaps
-        paused = np.zeros(n)
-        assoc8 = np.array(
-            [1 if r.associated_cpid == cpid else 0 for r in regs],
-            dtype=np.uint8,
-        )
-        active = np.ones(n, dtype=bool)
-        remaining = np.array([
-            np.inf if s.total_bits is None
-            else float(np.ceil(s.total_bits / L))
-            for s in self.sources
-        ])
-        frames_acc = np.zeros(n, dtype=np.int64)
-        owed_bits = np.zeros(n)
-
-        reg0 = regs[0]
-        mode_code = {"message": 0, "fluid-euler": 1,
-                     "fluid-exact": 2}.get(reg0.mode, -1)
-        fast_msgs = mode_code >= 0 and all(
-            s.on_rate_change is None
-            and s.regulator.gi == reg0.gi
-            and s.regulator.gd == reg0.gd
-            and s.regulator.ru == reg0.ru
-            and s.regulator.mode == reg0.mode
-            and s.regulator.max_dt == reg0.max_dt
-            for s in self.sources
-        )
-        reg_max_dt = -1.0 if reg0.max_dt is None else float(reg0.max_dt)
-        last_update = np.array([
-            np.nan if r._last_update is None else r._last_update
-            for r in regs
-        ])
-        updates = np.zeros(n, dtype=np.int64)
-        min_rate_a = np.array([r.min_rate for r in regs])
-        line_rate_a = np.array([r.line_rate for r in regs])
-        reg_d = np.empty(1)
-
-        events = sorted(self._timed_events)
-        ev_pos = 0
-
-        # Persistent per-window work buffers: passing the *same* array
-        # objects to the kernels every window lets the cffi backend
-        # cache its pointer casts (see ``_CffiKernels._ptr``).
-        first = np.empty(n)
-        counts = np.empty(n, dtype=np.int64)
-        comm = np.empty(n, dtype=np.int64)
-        fin_idx = np.empty(n, dtype=np.int64)
-        fin_t = np.empty(n)
-        merge_t = np.empty(max(64, 4 * n))
-        merge_src = np.empty(merge_t.shape[0], dtype=np.int64)
-        merge_assoc = np.empty(merge_t.shape[0], dtype=np.uint8)
-        empty_t = np.empty(0)
-        empty_src = np.empty(0, dtype=np.int64)
-        empty_assoc = np.empty(0, dtype=np.uint8)
-        # Sources with ``total_bits=None`` never finish, so the finish
-        # bookkeeping can be skipped wholesale for pure-elephant runs.
-        any_finite = 1 if np.isfinite(remaining).any() else 0
-
-        # Bound closures: argument marshalling (and, on the cffi tier,
-        # the pointer casts for every persistent array) happens once
-        # here instead of on each of the ~10^3..10^5 window iterations.
-        # Closures capture array *objects*, so any rebinding of the
-        # arrays above must re-bind the closure too (see the merge
-        # buffer growth branch below).
-        bound_pacing_plan = be.bind_pacing_plan(
-            next_emit, paused, active, remaining, gaps, first, counts)
-        bound_merge = be.bind_merge_trains(
-            first, gaps, counts, assoc8, merge_t, merge_src, merge_assoc)
-        bound_pacing_commit = be.bind_pacing_commit(
-            merge_src, first, gaps, counts, any_finite, next_emit,
-            remaining, active, frames_acc, comm, fin_idx, fin_t)
-        bound_owed = be.bind_owed_repay(owed_bits, next_emit, rates)
-        bound_apply = None
-        if fast_msgs:
-            bound_apply = be.bind_apply_messages(
-                mode_code, reg0.gi, reg0.gd, reg0.ru, reg_max_dt, d,
-                rates, last_update, assoc8, updates, min_rate_a,
-                line_rate_a, owed_bits, reg_d)
-
-        t = 0.0
-        while t < duration:
-            while ev_pos < len(events) and events[ev_pos][0] <= t:
-                ev_t, _, kind, payload = events[ev_pos]
-                ev_pos += 1
-                if kind == "capacity":
-                    kernel.set_capacity(payload[0])
-                elif kind == "outage":
-                    kernel.freeze_until(ev_t + payload[0])
-                elif kind == "departure":
-                    self.sources[payload[0]].muted = True
-                    active[payload[0]] = False
-            next_ev = events[ev_pos][0] if ev_pos < len(events) else np.inf
-            t_end = min(t + quantum, duration, next_ev)
-            until = t_end - d
-            total = int(bound_pacing_plan(until))
-            if total:
-                if total > merge_t.shape[0]:
-                    merge_t = np.empty(2 * total)
-                    merge_src = np.empty(2 * total, dtype=np.int64)
-                    merge_assoc = np.empty(2 * total, dtype=np.uint8)
-                    bound_merge = be.bind_merge_trains(
-                        first, gaps, counts, assoc8,
-                        merge_t, merge_src, merge_assoc)
-                    bound_pacing_commit = be.bind_pacing_commit(
-                        merge_src, first, gaps, counts, any_finite,
-                        next_emit, remaining, active, frames_acc,
-                        comm, fin_idx, fin_t)
-                bound_merge(d)
-                times = merge_t[:total]
-                srcs = merge_src[:total]
-                assoc = merge_assoc[:total]
-            else:
-                times, srcs, assoc = empty_t, empty_src, empty_assoc
-
-            window = kernel.process(t, t_end, times, srcs, assoc)
-
-            n_fin = int(bound_pacing_commit(window.committed))
-            for k in range(n_fin):
-                self.sources[int(fin_idx[k])].finish_time = float(fin_t[k])
-            self._delivered_bits += window.delivered_bits
-
-            hi = int(np.searchsorted(grid, window.t_commit, side="right"))
-            if hi > grid_pos:
-                pts = grid[grid_pos:hi]
-                self._queue_samples.extend(pts, kernel.queue_at(pts))
-                self._rate_samples.extend(
-                    pts, np.full(pts.size, total_rate)
-                )
-                grid_pos = hi
-
-            if fast_msgs:
-                if window.msg_t.size:
-                    reg_d[0] = total_rate
-                    bound_apply(window.msg_t, window.msg_src,
-                                window.msg_fb, window.msg_sigma,
-                                window.t_commit)
-                    total_rate = float(reg_d[0])
-                    np.divide(L, rates, out=gaps)
+            if soa is not None:
+                total_rate = soa.apply(window, total_rate)
             else:
                 for k in range(window.msg_t.size):
                     i = int(window.msg_src[k])
@@ -887,16 +822,13 @@ class BCNNetworkSimulator:
                     rate_after = source.regulator.rate
                     if rate_after != rate_before:
                         delta = rate_after - rate_before
-                        owed_bits[i] += delta * max(
+                        owed[i] += delta * max(
                             window.t_commit - deliver_at, 0.0
                         )
                         total_rate += delta
                         rates[i] = rate_after
                         gaps[i] = L / rate_after
-                    assoc8[i] = (
-                        1 if source.regulator.associated_cpid == cpid
-                        else 0
-                    )
+                    assoc[i] = source.regulator.associated_cpid == cpid
             if window.pause_at is not None and self._enable_pause:
                 self.sim._now = window.pause_at + d
                 pause = PauseFrame(
@@ -908,24 +840,21 @@ class BCNNetworkSimulator:
                     source.receive_control(pause)
                     paused[i] = source.paused_until
 
-            bound_owed(until, np.nextafter(until, np.inf))
+            # Repay the lag ledger: a positive balance means the new
+            # rate would have sent more bits before the boundary, so
+            # the next emission moves earlier (clamped to stay beyond
+            # the planned horizon; the unpaid remainder carries over).
+            # Sources holding a cut-off emission keep their schedule.
+            repay(until, np.nextafter(until, np.inf))
 
             t = window.t_commit
 
         for i, source in enumerate(self.sources):
-            source.frames_sent += int(frames_acc[i])
-            source.bits_sent += float(frames_acc[i]) * L
-            source._train_next = float(next_emit[i])
-        if fast_msgs:
-            # Fold the struct-of-array regulator state back into the
-            # RateRegulator objects so post-run inspection matches the
-            # batched engine exactly.
-            for i, reg in enumerate(regs):
-                reg.rate = float(rates[i])
-                lu = float(last_update[i])
-                reg._last_update = None if lu != lu else lu
-                reg.updates_applied += int(updates[i])
-                reg.associated_cpid = cpid if assoc8[i] else None
+            source.frames_sent += int(pacing.frames_acc[i])
+            source.bits_sent += float(pacing.frames_acc[i]) * L
+            source._train_next = float(pacing.next_emit[i])
+        if soa is not None:
+            soa.sync(cpid)
         self.sim._now = duration
 
     # -- driving ---------------------------------------------------------------
@@ -935,10 +864,8 @@ class BCNNetworkSimulator:
         if duration <= 0:
             raise ValueError("duration must be positive")
         wall_start = _time.monotonic() if self.obs is not None else 0.0  # repro-lint: disable=wall-clock -- obs run-span wall-time
-        if self.engine == "batched":
-            self._run_batched(duration)
-        elif self.engine == "compiled":
-            self._run_compiled(duration)
+        if self.engine != "reference":
+            self._run_windows(duration)
         else:
             # Timed events first: heap ties at the same timestamp break
             # by insertion order, so events registered here fire before

@@ -13,11 +13,15 @@ Two guarantees, per ISSUE PR 4:
   message timing may lag by up to one control quantum.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.core.parameters import BCNParams
-from repro.simulation.network import PACKET_ENGINES, BCNNetworkSimulator
+from repro.kernels import get_backend, reset_backend
+from repro.simulation.network import (PACKET_ENGINES, BCNNetworkSimulator,
+                                      _SoAMessages)
 
 
 def _params():
@@ -67,7 +71,8 @@ def test_engine_is_bit_deterministic(engine, random_sampling):
 def test_compiled_matches_batched_bitwise(random_sampling):
     """``engine="compiled"`` replays the batched engine's exact
     arithmetic (and its RNG draw discipline), so the results match bit
-    for bit on every backend tier — the numpy tier simply delegates."""
+    for bit on every backend tier — the numpy tier runs the batched
+    engine's own ops."""
     a = _run("batched", random_sampling=random_sampling)
     b = _run("compiled", random_sampling=random_sampling)
     np.testing.assert_array_equal(a.t, b.t)
@@ -80,6 +85,54 @@ def test_compiled_matches_batched_bitwise(random_sampling):
     assert a.bcn_positive == b.bcn_positive
     assert a.pauses == b.pauses
     assert a.delivered_bits == b.delivered_bits
+
+
+def _run_heterogeneous_gains(engine):
+    """A dumbbell with per-source Gi/Gd jittered +-30% (v6's "gain"
+    perturbation): non-uniform regulator laws keep the compiled engine
+    off its struct-of-arrays message kernel, so every BCN message goes
+    through the window loop's python ``receive_control`` delivery."""
+    rng = random.Random(3)
+    net = BCNNetworkSimulator(_params(), frame_bits=12_000, engine=engine,
+                              regulator_mode="fluid-exact",
+                              random_sampling=True)
+    for source in net.sources:
+        source.regulator.gi *= rng.uniform(0.7, 1.3)
+        source.regulator.gd *= rng.uniform(0.7, 1.3)
+    assert not _SoAMessages.uniform(net.sources)
+    return net, net.run(0.02)
+
+
+@pytest.fixture(params=["cffi", "numpy"])
+def kernel_tier(request, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
+    reset_backend()
+    try:
+        get_backend()
+    except Exception as exc:  # no C compiler / cffi here
+        pytest.skip(f"{request.param} tier unavailable: {exc}")
+    yield request.param
+    monkeypatch.undo()
+    reset_backend()
+
+
+def test_compiled_matches_batched_through_the_message_loop(kernel_tier):
+    net_b, a = _run_heterogeneous_gains("batched")
+    net_c, b = _run_heterogeneous_gains("compiled")
+    assert a.bcn_negative + a.bcn_positive > 0
+    np.testing.assert_array_equal(a.t, b.t)
+    np.testing.assert_array_equal(a.queue, b.queue)
+    np.testing.assert_array_equal(a.rate_t, b.rate_t)
+    np.testing.assert_array_equal(a.rate_total, b.rate_total)
+    np.testing.assert_array_equal(a.per_source_rate, b.per_source_rate)
+    assert (a.dropped_frames, a.forwarded_frames, a.bcn_negative,
+            a.bcn_positive, a.pauses, a.delivered_bits) == (
+        b.dropped_frames, b.forwarded_frames, b.bcn_negative,
+        b.bcn_positive, b.pauses, b.delivered_bits)
+    for sb, sc in zip(net_b.sources, net_c.sources):
+        assert sb.regulator.rate == sc.regulator.rate
+        assert sb.regulator.updates_applied == sc.regulator.updates_applied
+        assert sb.frames_sent == sc.frames_sent
 
 
 class TestReferenceVsBatched:

@@ -64,3 +64,49 @@ class TestParser:
     def test_missing_required_arg_rejected(self):
         with pytest.raises(SystemExit):
             main(["analyze", "--capacity", "1e9"])
+
+
+class TestSubmitHelp:
+    @staticmethod
+    def _job_example() -> dict:
+        import argparse
+        import json
+        import re
+
+        from repro.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        job = next(a for a in sub.choices["submit"]._actions
+                   if a.dest == "job")
+        match = re.search(r"'(\{.*\})'", job.help)
+        assert match, job.help
+        return json.loads(match.group(1))
+
+    def test_example_job_names_a_registered_preset(self):
+        from repro.scenarios import preset_names
+
+        assert self._job_example()["preset"] in preset_names()
+
+    def test_example_job_canonicalises(self):
+        from repro.serve.jobs import job_key, normalize_request
+
+        request = normalize_request(self._job_example())
+        assert request.job_kind == "scenario"
+        assert job_key(request)
+
+
+def test_compiled_fallback_warning_names_the_missing_toolchain(
+        monkeypatch, capsys):
+    from repro import cli
+    from repro.kernels import reset_backend
+
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+    reset_backend()
+    try:
+        assert cli._resolve_packet_engine("compiled") == "batched"
+    finally:
+        monkeypatch.undo()
+        reset_backend()
+    err = capsys.readouterr().err
+    assert "no C compiler or cffi was found" in err

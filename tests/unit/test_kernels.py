@@ -1,11 +1,11 @@
 """Unit tests for the compiled kernel package (:mod:`repro.kernels`).
 
 Backend selection, the differential guarantees of the individual
-kernels against their pure-python reference bodies, the compiled
-calendar queue, the fluid precision modes, and the one-time warm-up
-span.  Tests marked ``requires_compiled`` exercise a real compiled
-tier (numba or cffi) and skip on the pure-numpy fallback; everything
-else runs on every tier.
+kernels against their pure-python reference bodies, the calendar
+queue's event order, the fluid precision modes, and the one-time
+warm-up span.  Tests marked ``requires_compiled`` exercise the compiled
+(cffi) tier and skip on the pure-numpy fallback; everything else runs
+on every tier.
 """
 
 import math
@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.kernels import (available_backends, get_backend, reset_backend,
+from repro.kernels import (get_backend, reset_backend,
                            simulate_fluid_batch_compiled)
 from repro.kernels._backend import KernelBackend, consume_warmup_span
 from repro.simulation.engine import CalendarSimulator, make_simulator
@@ -22,16 +22,11 @@ from repro.simulation.source import RateRegulator
 
 requires_compiled = pytest.mark.skipif(
     not get_backend().compiled,
-    reason="no compiled backend (numba, or cffi + C compiler) available",
+    reason="no compiled backend (cffi + C compiler) available",
 )
 
 
 # -- backend selection ------------------------------------------------------
-
-
-def test_available_backends_always_lists_numpy():
-    names = available_backends()
-    assert names[-1] == "numpy"
 
 
 def test_numpy_tier_is_the_scalar_reference():
@@ -142,30 +137,6 @@ def test_merge_trains_breaks_time_ties_by_source():
                                out_t, out_src, out_assoc)
     np.testing.assert_array_equal(out_src, [0, 1, 0, 1, 0, 1])
     np.testing.assert_array_equal(out_assoc, [1, 0, 1, 0, 1, 0])
-
-
-# -- next_nonempty ----------------------------------------------------------
-
-
-def test_next_nonempty_python_semantics():
-    from repro.kernels import _scalar
-
-    counts = np.array([0, 0, 3, 0, 1, 0], dtype=np.int64)
-    assert _scalar.next_nonempty(counts, 0) == 2
-    assert _scalar.next_nonempty(counts, 2) == 2
-    assert _scalar.next_nonempty(counts, 3) == 4
-    assert _scalar.next_nonempty(counts, 5) == -1
-
-
-@requires_compiled
-def test_next_nonempty_compiled_matches_python():
-    be = get_backend()
-    counts = np.array([0, 0, 3, 0, 1, 0], dtype=np.int64)
-    for cursor in range(counts.size):
-        from repro.kernels import _scalar
-
-        assert int(be.next_nonempty(counts, cursor)) == \
-            _scalar.next_nonempty(counts, cursor)
 
 
 # -- apply_messages ---------------------------------------------------------
@@ -483,23 +454,30 @@ def _drain_order(sim, times):
     return seen
 
 
-@pytest.mark.parametrize("kernel", ["compiled", "compiled-calendar"])
-def test_compiled_calendar_matches_heap_order(kernel):
+# Both compiled-engine calendars: the one MultiHopNetwork and the shard
+# runtime build for engine="compiled" (one frame time per slot, 4096
+# slots), and make_simulator's calendar sized from a quantum hint.
+@pytest.mark.parametrize("calendar_kw", [
+    pytest.param({"slot_width": 12000 / 10e9, "n_slots": 4096},
+                 id="compiled"),
+    pytest.param({"quantum_hint": 1e-4}, id="compiled-calendar"),
+])
+def test_compiled_calendar_matches_heap_order(calendar_kw):
     rng = np.random.default_rng(11)
     times = rng.uniform(0.0, 5e-3, 400)
     heap = _drain_order(make_simulator("heap"), times)
-    comp = _drain_order(make_simulator(kernel, quantum_hint=1e-4), times)
-    assert comp == heap
+    cal = _drain_order(make_simulator("calendar", **calendar_kw), times)
+    assert cal == heap
 
 
-def test_compiled_calendar_rolls_horizon_like_parent():
+def test_calendar_rolls_horizon_like_heap():
     rng = np.random.default_rng(13)
     # spread far beyond one horizon so the overflow heap drains
     times = rng.uniform(0.0, 0.5, 300)
     heap = _drain_order(make_simulator("heap"), times)
-    comp = _drain_order(make_simulator("compiled", slot_width=1e-4,
-                                       n_slots=64), times)
-    assert comp == heap
+    cal = _drain_order(make_simulator("calendar", slot_width=1e-4,
+                                      n_slots=64), times)
+    assert cal == heap
 
 
 def test_calendar_slot_width_auto_derived_from_quantum_hint():

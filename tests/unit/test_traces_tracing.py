@@ -1,11 +1,7 @@
-"""Unit tests for synthetic traces and DES tracing."""
+"""Unit tests for synthetic workload traces."""
 
 import pytest
 
-from repro.simulation.engine import Simulator
-from repro.simulation.frames import BCNMessage, EthernetFrame, PauseFrame
-from repro.simulation.switch import CoreSwitch
-from repro.simulation.tracing import FrameTracer, TraceEvent
 from repro.workloads.traces import TraceConfig, generate_trace
 
 
@@ -78,73 +74,3 @@ class TestTraceGeneration:
             config(pareto_shape=0.9)
         with pytest.raises(ValueError):
             generate_trace(config(), ["only-one"])
-
-
-class TestFrameTracer:
-    def make_switch(self, tracer):
-        sim = Simulator()
-        switch = CoreSwitch(sim, cpid="sw0", capacity=12000.0, q0=60000.0,
-                            buffer_bits=24000.0)
-        tracer.attach_switch(switch)
-        return sim, switch
-
-    def frame(self, src=0):
-        return EthernetFrame(src=src, dst="sink", size_bits=12000,
-                             flow_id=src)
-
-    def test_records_arrivals_and_departures(self):
-        tracer = FrameTracer()
-        sim, switch = self.make_switch(tracer)
-        switch.receive(self.frame(0))
-        switch.receive(self.frame(1))
-        sim.run()
-        counts = tracer.counts()
-        assert counts["arrive"] == 2
-        assert counts["depart"] == 2
-
-    def test_records_drops(self):
-        tracer = FrameTracer()
-        sim, switch = self.make_switch(tracer)
-        for i in range(6):
-            switch.receive(self.frame(i))
-        assert tracer.counts().get("drop", 0) >= 1
-
-    def test_flow_filter(self):
-        tracer = FrameTracer()
-        sim, switch = self.make_switch(tracer)
-        switch.receive(self.frame(0))
-        switch.receive(self.frame(7))
-        sim.run()
-        assert all(e.flow_id == 7 for e in tracer.for_flow(7))
-        assert len(tracer.for_flow(7)) == 2  # arrive + depart
-
-    def test_control_hook_traces_bcn_and_pause(self):
-        tracer = FrameTracer()
-        seen = []
-        handler = tracer.control_hook("h0")(seen.append)
-        handler(BCNMessage(da=0, sa="s", cpid="s", fb=-3.0, q_off=0.0,
-                           q_delta=0.0, sent_at=1.0))
-        handler(PauseFrame(sa="s", duration=1e-4, sent_at=2.0))
-        assert len(seen) == 2
-        kinds = [e.kind for e in tracer.events]
-        assert kinds == ["bcn", "pause"]
-
-    def test_max_events_cap(self):
-        tracer = FrameTracer(max_events=1)
-        tracer.record(TraceEvent(0.0, "arrive", "a"))
-        tracer.record(TraceEvent(1.0, "arrive", "a"))
-        assert len(tracer.events) == 1
-
-    def test_between_and_summary(self):
-        tracer = FrameTracer()
-        for t in (0.1, 0.5, 0.9):
-            tracer.record(TraceEvent(t, "arrive", "a", 0))
-        assert len(tracer.between(0.2, 0.8)) == 1
-        assert "3 events" in tracer.summary()
-
-    def test_dump(self, tmp_path):
-        tracer = FrameTracer()
-        tracer.record(TraceEvent(0.25, "drop", "sw0", 3, "size=12000"))
-        path = tracer.dump(tmp_path / "trace.txt")
-        content = path.read_text()
-        assert "drop" in content and "flow=3" in content
