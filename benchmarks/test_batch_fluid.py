@@ -64,7 +64,7 @@ def test_bench_portrait_bundle_reference(benchmark):
 
     orbits = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(
-        workload="portrait_bundle", engine="reference",
+        workload="portrait_bundle", engine="reference", baseline=True,
         n_orbits=N_ORBITS, trajectory_seconds=N_ORBITS * T_MAX)
     assert len(orbits) == N_ORBITS
 
@@ -89,7 +89,7 @@ def test_bench_return_map_scan_reference(benchmark):
         lambda: [return_map(p, float(y)) for y in ys],
         rounds=1, iterations=1)
     benchmark.extra_info.update(
-        workload="return_map_scan", engine="reference",
+        workload="return_map_scan", engine="reference", baseline=True,
         n_ordinates=N_ORDINATES)
     assert len(out) == N_ORDINATES
 

@@ -1,29 +1,29 @@
-"""Bench C — the compiled kernel backend vs the batched numpy engine.
+"""Bench C — the compiled kernel tier vs the numpy tier of the same engine.
 
-Paired workloads gating the ``engine="compiled"`` /
-``fluid_method="compiled"`` hot paths against the *batched* engine
-(itself already ≥ 5× over the event-driven reference, see
-``BENCH_packet.json``), i.e. the gate here is compiled-vs-vectorized,
-not compiled-vs-interpreted:
+The batched packet engine and the batch fluid integrator each run on
+whichever kernel tier the platform offers (:mod:`repro.kernels`).  These
+paired workloads time one engine on both tiers, so the gate here is
+compiled-vs-vectorized, not compiled-vs-interpreted (the batched engine
+on numpy is itself already ≥ 5× over the event-driven reference, see
+``BENCH_packet.json``):
 
 * **compiled_dumbbell_fluid_vs_packet** — the V2 validation
   configuration (fluid-exact regulator, Bernoulli sampling, no PAUSE)
-  on a 0.2 s horizon, ``engine="compiled"`` against ``engine="batched"``
-  tagged as the reference row.  Exercises the full window pipeline:
-  pacing plan/commit, train merge, packet plan/commit and the
-  struct-of-array message kernel, all through the bound-closure API.
+  on a 0.2 s horizon through ``engine="batched"``.  Exercises the full
+  window pipeline: pacing plan/commit, train merge, packet plan/commit
+  and the struct-of-array message kernel, all through the bound-closure
+  API.
 * **compiled_portrait_bundle** — a 64-trajectory phase-portrait bundle
-  (CASE1, nonlinear mode, 40 s horizon) through the batch fluid RK4
-  kernel, ``simulate_fluid_batch_compiled`` against the numpy
-  integrator.  An ungated ``compiled-f32`` row records the float32
-  variant for the trajectory-bundle use case where ~1e-7 relative
-  error is acceptable.
+  (CASE1, nonlinear mode, 40 s horizon) through
+  :func:`~repro.fluid.batch.simulate_fluid_batch`'s RK4 kernel.
 
-Both compiled rows tag ``extra_info["event_counts"]`` (packet) or the
-bundle's switch totals (fluid) so the committed ``BENCH_compiled.json``
-records what the workloads did.  The whole module skips on the
-pure-numpy fallback tier, where ``engine="compiled"`` runs the batched
-engine's numpy ops and a speedup gate would be meaningless.
+Each baseline row runs inside :func:`numpy_tier`, which injects the
+pure-numpy :class:`~repro.kernels.KernelBackend`, and carries
+``extra_info["baseline"] = True``; every row records its real
+``engine`` and ``kernel_backend``.  The compiled rows also tag
+``event_counts`` (packet) or the bundle's switch totals (fluid) so the
+committed ``BENCH_compiled.json`` records what the workloads did.  The
+module skips when the platform has no compiled tier.
 
 Regenerate the committed report with::
 
@@ -33,13 +33,15 @@ Regenerate the committed report with::
         -o BENCH_compiled.json --min-speedup 3.0
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.experiments.presets import CASE1
 from repro.experiments.v2_fluid_vs_packet import validation_params
 from repro.fluid.batch import simulate_fluid_batch
-from repro.kernels import get_backend, simulate_fluid_batch_compiled
+from repro.kernels import KernelBackend, _backend, get_backend
 from repro.obs import Observability
 from repro.simulation.network import BCNNetworkSimulator
 
@@ -64,39 +66,56 @@ FLUID_X0 = np.linspace(-0.9, 0.9, 64) * CASE1.q0
 FLUID_KWARGS = dict(t_max=40.0, mode="nonlinear", max_switches=200)
 
 
-def _run_v2(engine, obs=None):
-    net = BCNNetworkSimulator(validation_params(), engine=engine, obs=obs,
+@contextlib.contextmanager
+def numpy_tier():
+    """Run the body on the pure-numpy kernel tier."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_backend, "_BACKEND", KernelBackend())
+        yield
+
+
+def _run_v2(obs=None):
+    net = BCNNetworkSimulator(validation_params(), engine="batched", obs=obs,
                               **V2_KWARGS)
     return net.run(V2_DURATION)
 
 
-def _event_counts(engine):
-    obs = Observability()
-    _run_v2(engine, obs)
-    return obs.event_counts()
+def _run_v2_numpy():
+    with numpy_tier():
+        return _run_v2()
+
+
+def _fluid():
+    return simulate_fluid_batch(CASE1, FLUID_X0, 0.0, **FLUID_KWARGS)
+
+
+def _fluid_numpy():
+    with numpy_tier():
+        return _fluid()
 
 
 # -- packet window pipeline -------------------------------------------------
 
 
 def test_bench_dumbbell_compiled(benchmark):
-    _run_v2("compiled")  # warm the backend outside the timed region
-    res = benchmark.pedantic(lambda: _run_v2("compiled"),
-                             rounds=5, iterations=1)
+    _run_v2()  # warm the backend outside the timed region
+    res = benchmark.pedantic(_run_v2, rounds=5, iterations=1)
+    obs = Observability()
+    _run_v2(obs)
     benchmark.extra_info.update(
-        workload="compiled_dumbbell_fluid_vs_packet", engine="compiled",
-        simulated_seconds=V2_DURATION,
+        workload="compiled_dumbbell_fluid_vs_packet", engine="batched",
         kernel_backend=get_backend().name,
-        event_counts=_event_counts("compiled"))
+        simulated_seconds=V2_DURATION,
+        event_counts=obs.event_counts())
     assert res.forwarded_frames > 0
     assert 0.9 <= res.utilization() <= 1.0 + 1e-9
 
 
 def test_bench_dumbbell_batched_baseline(benchmark):
-    res = benchmark.pedantic(lambda: _run_v2("batched"),
-                             rounds=5, iterations=1)
+    res = benchmark.pedantic(_run_v2_numpy, rounds=5, iterations=1)
     benchmark.extra_info.update(
-        workload="compiled_dumbbell_fluid_vs_packet", engine="reference",
+        workload="compiled_dumbbell_fluid_vs_packet", engine="batched",
+        kernel_backend="numpy", baseline=True,
         simulated_seconds=V2_DURATION)
     assert res.forwarded_frames > 0
 
@@ -104,21 +123,13 @@ def test_bench_dumbbell_batched_baseline(benchmark):
 # -- batch fluid RK4 kernel -------------------------------------------------
 
 
-def _fluid_numpy():
-    return simulate_fluid_batch(CASE1, FLUID_X0, 0.0,
-                                fluid_method="numpy", **FLUID_KWARGS)
-
-
 def test_bench_portrait_bundle_compiled(benchmark):
-    simulate_fluid_batch_compiled(CASE1, FLUID_X0, 0.0, **FLUID_KWARGS)
-    res = benchmark.pedantic(
-        lambda: simulate_fluid_batch_compiled(CASE1, FLUID_X0, 0.0,
-                                              **FLUID_KWARGS),
-        rounds=5, iterations=1)
+    _fluid()
+    res = benchmark.pedantic(_fluid, rounds=5, iterations=1)
     benchmark.extra_info.update(
-        workload="compiled_portrait_bundle", engine="compiled",
-        trajectory_seconds=40.0 * FLUID_X0.size,
+        workload="compiled_portrait_bundle", engine="batch",
         kernel_backend=get_backend().name,
+        trajectory_seconds=40.0 * FLUID_X0.size,
         switch_total=int(res.switch_counts.sum()),
         converged=int(res.converged.sum()))
     assert res.x.shape[1] == FLUID_X0.size
@@ -127,23 +138,7 @@ def test_bench_portrait_bundle_compiled(benchmark):
 def test_bench_portrait_bundle_numpy_baseline(benchmark):
     res = benchmark.pedantic(_fluid_numpy, rounds=3, iterations=1)
     benchmark.extra_info.update(
-        workload="compiled_portrait_bundle", engine="reference",
+        workload="compiled_portrait_bundle", engine="batch",
+        kernel_backend="numpy", baseline=True,
         trajectory_seconds=40.0 * FLUID_X0.size)
     assert res.x.shape[1] == FLUID_X0.size
-
-
-def test_bench_portrait_bundle_float32(benchmark):
-    # Ungated: float32 trades ~1e-7 relative error for extra throughput;
-    # the row documents the trade, the gate stays on the exact variant.
-    simulate_fluid_batch_compiled(CASE1, FLUID_X0, 0.0,
-                                  precision="float32", **FLUID_KWARGS)
-    res = benchmark.pedantic(
-        lambda: simulate_fluid_batch_compiled(CASE1, FLUID_X0, 0.0,
-                                              precision="float32",
-                                              **FLUID_KWARGS),
-        rounds=5, iterations=1)
-    benchmark.extra_info.update(
-        workload="compiled_portrait_bundle_f32", engine="compiled-f32",
-        trajectory_seconds=40.0 * FLUID_X0.size,
-        kernel_backend=get_backend().name)
-    assert res.x.dtype == np.float32

@@ -96,7 +96,7 @@ def test_bench_fabric_fat_tree_reference(benchmark):
     res = benchmark.pedantic(lambda: _run_fat_tree(),
                              rounds=3, iterations=1)
     benchmark.extra_info.update(
-        workload="fabric_fat_tree_k8", engine="reference",
+        workload="fabric_fat_tree_k8", engine="reference", baseline=True,
         simulated_seconds=DURATION)
     assert sum(res.per_flow_delivered_bits.values()) > 0
 
@@ -116,6 +116,6 @@ def test_bench_fabric_dcell_reference(benchmark):
     res = benchmark.pedantic(lambda: _run_dcell(),
                              rounds=3, iterations=1)
     benchmark.extra_info.update(
-        workload="fabric_dcell_4_1", engine="reference",
+        workload="fabric_dcell_4_1", engine="reference", baseline=True,
         simulated_seconds=DURATION)
     assert sum(res.per_flow_delivered_bits.values()) > 0

@@ -14,8 +14,8 @@ measured twice:
   done-job table / result cache.  This isolates the serving overhead
   (protocol + dedup + envelope fan-out) from simulation compute.
 
-``tools/bench_report.py`` pairs ``warm`` against ``reference`` per
-workload, and the CI gate fails when the warm path stops being
+``tools/bench_report.py`` pairs ``warm`` against the cold ``baseline``
+row per workload, and the CI gate fails when the warm path stops being
 substantially faster than recomputing — i.e. when dedup breaks or the
 protocol layer grows a bottleneck.  ``extra_info`` records ``jobs``,
 ``clients`` and the derived ``jobs_per_second``.
@@ -92,7 +92,7 @@ def _bench_serve(benchmark, tmp_path, *, clients, warm):
     assert counters["serve.computed"] == expected
     benchmark.extra_info.update(
         workload=f"serve_jobs_c{clients}",
-        engine="warm" if warm else "reference",
+        engine="warm" if warm else "reference", baseline=not warm,
         jobs=JOBS_PER_ROUND, clients=clients,
         jobs_per_second=JOBS_PER_ROUND / benchmark.stats.stats.mean)
 

@@ -25,10 +25,12 @@ Commands
     churn, outages, time-varying capacity) on either packet engine —
     single run or an N-seed sweep through the parallel runner.
 ``trace``
-    Run one scenario on any of the engines (packet reference / batched /
-    compiled, fluid reference / batch / compiled) with observability on
-    and export the structured JSONL event trace (region switches, BCN
-    messages, PAUSE on/off, drops, buffer pinning, convergence).
+    Run one scenario on any of the engines (packet reference / batched,
+    fluid reference / batch) with observability on and export the
+    structured JSONL event trace (region switches, BCN messages, PAUSE
+    on/off, drops, buffer pinning, convergence).  The batched and batch
+    engines run the compiled kernels whenever the platform has them
+    (:mod:`repro.kernels`).
 ``profile``
     Same run, reporting the span profile and metric registry instead.
 ``lint``
@@ -53,6 +55,10 @@ Examples
     python -m repro design --capacity 10e9 --flows 50 --q0 2.5e6 --buffer 16e6
     python -m repro simulate --capacity 1e9 --flows 10 --q0 1e6 \\
         --buffer 8e6 --duration 0.05
+    python -m repro scenario incast-32 --engine batched --seeds 4
+    python -m repro fabric --k 4 --shards 2 --workers 2
+    python -m repro trace --capacity 1e9 --flows 10 --q0 1e6 \\
+        --buffer 8e6 --engine packet-batched --out trace.jsonl
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from .core.parameters import BCNParams
 from .core.phase_plane import PhasePlaneAnalyzer
 from .core.stability import required_buffer, strong_stability_report
 from .core.transient import transient_report
-from .simulation.network import BCNNetworkSimulator
+from .simulation.network import PACKET_ENGINES, BCNNetworkSimulator
 from .viz.ascii import line_plot, phase_plot
 from .viz.series import format_table
 
@@ -165,33 +171,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 OBS_ENGINES = {
     "packet-reference": ("packet", "reference"),
     "packet-batched": ("packet", "batched"),
-    "packet-compiled": ("packet", "compiled"),
     "fluid-reference": ("fluid", "reference"),
     "fluid-batch": ("fluid", "batch"),
-    "fluid-compiled": ("fluid", "compiled"),
 }
-
-
-def _resolve_packet_engine(engine: str) -> str:
-    """Downgrade ``compiled`` to ``batched`` when nothing can compile.
-
-    The compiled engine is numerically identical to the batched engine
-    on every backend tier (the numpy tier runs the batched ops), so the
-    fallback only changes speed — but the user asked for compiled, so
-    say what they are actually getting and why.
-    """
-    if engine == "compiled":
-        from .kernels import get_backend
-
-        if not get_backend().compiled:
-            print(
-                "warning: no compiled kernel backend is available "
-                "(no C compiler or cffi was found); "
-                "falling back to the batched engine",
-                file=sys.stderr,
-            )
-            return "batched"
-    return engine
 
 
 def _run_observed(args: argparse.Namespace):
@@ -210,12 +192,9 @@ def _run_observed(args: argparse.Namespace):
             simulate_fluid(p, t_max=args.duration, mode=args.fluid_mode,
                            obs=obs)
         else:
-            fluid_method = "compiled" if engine == "compiled" else "numpy"
             simulate_fluid_batch(p, -p.q0, 0.0, t_max=args.duration,
-                                 mode=args.fluid_mode, obs=obs,
-                                 fluid_method=fluid_method)
+                                 mode=args.fluid_mode, obs=obs)
     else:
-        engine = _resolve_packet_engine(engine)
         net = BCNNetworkSimulator(params, regulator_mode=args.mode,
                                   engine=engine, obs=obs)
         net.run(args.duration)
@@ -249,8 +228,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from .scenarios import PRESETS, get_preset, run_scenario
     from .scenarios.sweep import run_scenario_sweep
-
-    args.engine = _resolve_packet_engine(args.engine)
 
     if args.preset is None or args.list:
         rows = []
@@ -334,7 +311,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     from .topology import hosts as fabric_hosts
     from .workloads.generators import permutation
 
-    engine = _resolve_packet_engine(args.engine)
     if args.topology == "fat-tree":
         graph = fat_tree(args.k, capacity=args.capacity)
     else:
@@ -357,7 +333,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     net = MultiHopNetwork(
         graph, flows, config,
         propagation_delay=args.delay,
-        engine=engine,
         shards=shards,
         workers=args.workers,
         obs=obs,
@@ -376,7 +351,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         ["topology", f"{args.topology} ({len(hs)} hosts)"],
         ["flows", len(flows)],
         ["ports", len(net._port_edges)],
-        ["engine", engine],
         ["mode", mode],
         ["delivered (Gbit)", delivered / 1e9],
         ["aggregate throughput (Gbit/s)", delivered / args.duration / 1e9],
@@ -568,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated horizon in seconds")
         p.add_argument("--engine", default="packet-reference",
                        choices=sorted(OBS_ENGINES),
-                       help="which of the four engines to run")
+                       help="which engine to run")
         p.add_argument("--mode", default="message",
                        choices=["message", "fluid-euler", "fluid-exact"],
                        help="regulator mode (packet engines)")
@@ -596,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--list", action="store_true",
                         help="list the preset registry and exit")
     p_scen.add_argument("--engine", default="reference",
-                        choices=["reference", "batched", "compiled"],
+                        choices=PACKET_ENGINES,
                         help="packet engine to run the scenario on")
     p_scen.add_argument("--seed", type=int, default=0,
                         help="seed for a single run")
@@ -634,9 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-port BCN reference queue, in frames")
     p_fabric.add_argument("--buffer-frames", type=float, default=150,
                           help="per-port buffer, in frames")
-    p_fabric.add_argument("--engine", default="reference",
-                          choices=["reference", "batched", "compiled"],
-                          help="event kernel (per shard when sharded)")
     p_fabric.add_argument("--shards", default=None, metavar="N|auto",
                           help="partition into N shards ('auto' = one "
                                "per worker); omit for the serial engine")

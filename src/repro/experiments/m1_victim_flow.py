@@ -58,8 +58,7 @@ def _flows() -> list[FlowSpec]:
     return aggressors + [victim]
 
 
-def _run_config(*, enable_bcn: bool, enable_pause: bool,
-                engine: str = "reference"):
+def _run_config(*, enable_bcn: bool, enable_pause: bool):
     fabric = _two_port_fabric()
     config = PortConfig(
         q0=100e3,
@@ -71,13 +70,12 @@ def _run_config(*, enable_bcn: bool, enable_pause: bool,
         regulator_mode="message",
     )
     network = MultiHopNetwork(fabric, _flows(), config,
-                              propagation_delay=1e-6, engine=engine)
+                              propagation_delay=1e-6)
     return network.run(0.3)
 
 
 @register("m1")
-def run(*, render_plots: bool = True,
-        engine: str = "reference") -> ExperimentResult:
+def run(*, render_plots: bool = True) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="m1",
         title="Victim flow: PAUSE-only congestion spreading vs BCN",
@@ -85,9 +83,8 @@ def run(*, render_plots: bool = True,
                        "aggressor goodput (Mb/s)", "drops", "pauses"],
     )
 
-    pause_only = _run_config(enable_bcn=False, enable_pause=True,
-                             engine=engine)
-    bcn = _run_config(enable_bcn=True, enable_pause=False, engine=engine)
+    pause_only = _run_config(enable_bcn=False, enable_pause=True)
+    bcn = _run_config(enable_bcn=True, enable_pause=False)
 
     def victim_goodput(res):
         return res.flow_throughput(3)

@@ -31,7 +31,7 @@ MICE_THRESHOLD = 1e6  # flows below 1 Mbit are "mice"
 
 @register("v5")
 def run(*, render_plots: bool = True, horizon: float = 0.5,
-        seed: int = 11, engine: str = "reference") -> ExperimentResult:
+        seed: int = 11) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="v5",
         title="Trace-driven fat-tree under BCN (heavy-tailed mix)",
@@ -60,7 +60,7 @@ def run(*, render_plots: bool = True, horizon: float = 0.5,
 
     config = PortConfig(q0=100e3, buffer_bits=1.2e6, pm=0.05, min_rate=10e6)
     network = MultiHopNetwork(fabric, trace.flows, config,
-                              propagation_delay=1e-6, engine=engine)
+                              propagation_delay=1e-6)
     res = network.run(horizon)
 
     mice = [f for f in trace.flows if (f.size_bits or 0) < MICE_THRESHOLD]

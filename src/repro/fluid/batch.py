@@ -578,8 +578,6 @@ def simulate_fluid_batch(
     dt_scale: float = 0.02,
     convergence_rtol: float = _CONVERGENCE_RTOL,
     obs=None,
-    fluid_method: str = "numpy",
-    precision: str = "float64",
 ) -> BatchFluidResult:
     """Integrate M trajectories of the switched BCN fluid model at once.
 
@@ -591,13 +589,11 @@ def simulate_fluid_batch(
     ``fluid.batch.kernel`` span and per-row events under
     ``engine="fluid.batch"`` with the row index attached.
 
-    ``fluid_method`` selects the stepping implementation: ``"numpy"``
-    (this module's vectorized loop, the default), ``"compiled"`` (the
-    :mod:`repro.kernels` C backend, falling back to numpy when no C
-    compiler or cffi is available) or ``"auto"`` (compiled when available).
-    ``precision`` (``"float64"``/``"float32"``) selects the state dtype
-    for ensemble work; the numpy path integrates in float64 and casts,
-    so tiers stay deterministic.
+    The platform picks the stepping tier: with a compiled
+    :func:`repro.kernels.get_backend` the whole ensemble runs as one
+    kernel call (:func:`repro.kernels.simulate_fluid_batch_compiled`),
+    otherwise this module's vectorized numpy loop runs it.  The two
+    commit the same floating-point operations in the same order.
 
     Per-row semantics match the reference integrator: convergence is
     checked at the start and after each switching crossing (not
@@ -605,21 +601,23 @@ def simulate_fluid_batch(
     ``max_switches + 1``-th crossing, and in ``"physical"`` mode rows
     pin at the buffer limits under the exact closed-form pinned laws.
     """
-    if fluid_method not in ("numpy", "compiled", "auto"):
-        raise ValueError(f"unknown fluid_method {fluid_method!r}")
-    if precision not in ("float64", "float32"):
-        raise ValueError(f"unknown precision {precision!r}")
-    if fluid_method in ("compiled", "auto"):
-        from ..kernels import get_backend, simulate_fluid_batch_compiled
+    from ..kernels import get_backend, simulate_fluid_batch_compiled
 
-        if get_backend().compiled:
-            return simulate_fluid_batch_compiled(
-                params, x0, y0, t_max=t_max, mode=mode,
-                max_switches=max_switches, dt=dt, dt_scale=dt_scale,
-                convergence_rtol=convergence_rtol, obs=obs,
-                precision=precision,
-            )
-        # no compiled backend: fall through to the numpy loop below
+    if get_backend().compiled:
+        return simulate_fluid_batch_compiled(
+            params, x0, y0, t_max=t_max, mode=mode,
+            max_switches=max_switches, dt=dt, dt_scale=dt_scale,
+            convergence_rtol=convergence_rtol, obs=obs,
+        )
+    return _simulate_fluid_batch_numpy(
+        params, x0, y0, t_max=t_max, mode=mode, max_switches=max_switches,
+        dt=dt, dt_scale=dt_scale, convergence_rtol=convergence_rtol, obs=obs)
+
+
+def _simulate_fluid_batch_numpy(params, x0, y0, *, t_max, mode,
+                                max_switches, dt, dt_scale,
+                                convergence_rtol, obs) -> BatchFluidResult:
+    """The numpy tier of :func:`simulate_fluid_batch`."""
     p = as_normalized(params)
     if dt is None:
         dt = default_time_step(p, dt_scale=dt_scale)
@@ -702,9 +700,6 @@ def simulate_fluid_batch(
             record_fluid_obs(obs, "fluid.batch", p, st.events[row],
                              bool(st.reason[row] == 1), float(st.t_end[row]),
                              xs[: last + 1][live, row], row=row)
-    if precision == "float32":
-        xs = xs.astype(np.float32)
-        ys = ys.astype(np.float32)
     return BatchFluidResult(
         params=p,
         mode=mode,

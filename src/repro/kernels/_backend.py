@@ -11,10 +11,10 @@ to ``auto`` / ``cffi`` / ``numpy``):
     (the ``[compiled]`` extra).
 ``numpy``
     No compiled code at all.  The engines detect ``backend.compiled is
-    False`` and run their numpy-vectorized batched implementations, so
-    ``engine="compiled"`` degrades gracefully to bit-identical batched
-    behaviour.  The entry points on this tier are the pure-python
-    ``_scalar`` bodies, which only the differential tests call.
+    False`` and run their numpy-vectorized implementations, which give
+    bit-identical results.  The entry points on this tier are the
+    pure-python ``_scalar`` bodies, which only the differential tests
+    call.
 
 The one-time C build cost is accumulated in ``warmup_seconds`` and
 surfaced to the observability layer by :func:`consume_warmup_span`, so
@@ -25,8 +25,6 @@ kernel time.
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 from . import _scalar
 
@@ -212,9 +210,6 @@ class _CffiKernels(KernelBackend):
     def _d(self, arr):
         return self._ptr(arr, "double *")
 
-    def _f(self, arr):
-        return self._ptr(arr, "float *")
-
     def _i(self, arr):
         return self._ptr(arr, "int64_t *")
 
@@ -331,16 +326,12 @@ class _CffiKernels(KernelBackend):
                    linear_dec, physical, max_switches, conv_rtol, t_max,
                    xs, ys, reason, switches, t_end, x_end, y_end,
                    ev_cap, n_events, ev_t, ev_kind, ev_x, ev_y, out_i):
-        if x0.dtype == np.float32:
-            fn, cast = self._lib.k_fluid_f32, self._f
-        else:
-            fn, cast = self._lib.k_fluid_f64, self._d
-        fn(
-            x0.shape[0], t_grid.shape[0] - 1, self._d(t_grid), cast(x0),
-            cast(y0), float(a), float(b), float(cap), float(k), float(q0),
+        self._lib.k_fluid(
+            x0.shape[0], t_grid.shape[0] - 1, self._d(t_grid), self._d(x0),
+            self._d(y0), float(a), float(b), float(cap), float(k), float(q0),
             float(x_full), float(x_empty), int(linear_dec), int(physical),
-            int(max_switches), float(conv_rtol), float(t_max), cast(xs),
-            cast(ys), self._i8(reason), self._i(switches), self._d(t_end),
+            int(max_switches), float(conv_rtol), float(t_max), self._d(xs),
+            self._d(ys), self._i8(reason), self._i(switches), self._d(t_end),
             self._d(x_end), self._d(y_end), int(ev_cap), self._i(n_events),
             self._d(ev_t), self._i8(ev_kind), self._d(ev_x), self._d(ev_y),
             self._i(out_i),

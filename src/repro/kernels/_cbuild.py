@@ -2,10 +2,8 @@
 
 The C source below is a line-for-line translation of the scalar kernel
 bodies (same float64 operation order, same libm transcendentals), so
-the float64 entry points are bit-identical to the python bodies —
-``tests/unit/test_kernels.py`` asserts exact equality.  The fluid
-kernel is instantiated twice from one template (``double`` and
-``float``) to provide the float32 ensemble mode.
+the entry points are bit-identical to the python bodies —
+``tests/unit/test_kernels.py`` asserts exact equality.
 
 Builds are out-of-line cffi API-mode extensions, keyed by a content
 hash of the declarations + source, cached under
@@ -87,21 +85,12 @@ void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
     double *rate, double *last_update, uint8_t *assoc8, int64_t *updates,
     double *min_rate, double *line_rate, double *owed, double *out_d);
 
-void k_fluid_f64(int64_t m, int64_t n_steps, double *t_grid,
+void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
     double *x0, double *y0, double a, double b, double cap, double kk,
     double q0, double x_full, double x_empty, int64_t linear_dec,
     int64_t physical, int64_t max_switches, double conv_rtol,
     double t_max, double *xs, double *ys, int8_t *reason,
-    int64_t *switches, double *t_endv, double *x_endv, double *y_endv,
-    int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
-    double *ev_x, double *ev_y, int64_t *out_i);
-
-void k_fluid_f32(int64_t m, int64_t n_steps, double *t_grid,
-    float *x0, float *y0, double a, double b, double cap, double kk,
-    double q0, double x_full, double x_empty, int64_t linear_dec,
-    int64_t physical, int64_t max_switches, double conv_rtol,
-    double t_max, float *xs, float *ys, int8_t *reason,
-    int64_t *switches, double *t_endv, double *x_endv, double *y_endv,
+    int64_t *switches, double *t_end, double *x_end, double *y_end,
     int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
     double *ev_x, double *ev_y, int64_t *out_i);
 """
@@ -582,27 +571,27 @@ void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
 }
 """
 
-_FLUID_TEMPLATE = r"""
-/* ---- switched-fluid row integrator, REAL = $REAL$ ---------------------- */
+_FLUID = r"""
+/* ---- switched-fluid row integrator ------------------------------------- */
 
 typedef struct {
     double a, b, cap, k, q0, x_full, x_empty, conv_rtol, t_max;
     int64_t linear_dec, physical, max_switches, ev_cap, m;
     double *ev_t; int8_t *ev_kind; double *ev_x, *ev_y;
     int64_t overflow;
-} fparams_$SFX$;
+} fparams;
 
 typedef struct {
-    $REAL$ x, y;
+    double x, y;
     int dec, alive, pinned, rsn;
     double pin_t, unpin_t;
-    $REAL$ pin_y;
+    double pin_y;
     int64_t sw_count, n_ev, dead_step;
     double te;
-    $REAL$ xe_final, ye_final;
-} frow_$SFX$;
+    double xe_final, ye_final;
+} frow;
 
-static void record_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
+static void record(fparams *p, frow *rs, int64_t r,
     double t, int8_t kind, double xv, double yv)
 {
     if (rs->n_ev < p->ev_cap) {
@@ -615,77 +604,77 @@ static void record_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
     } else p->overflow = 1;
 }
 
-static void refine_$SFX$(fparams_$SFX$ *p, $REAL$ x0, $REAL$ y0, int dec,
-    $REAL$ h, $REAL$ x1, $REAL$ y1, $REAL$ alpha, $REAL$ beta, $REAL$ gamma,
-    $REAL$ *th_out, $REAL$ *xt_out, $REAL$ *yt_out)
+static void refine(fparams *p, double x0, double y0, int dec,
+    double h, double x1, double y1, double alpha, double beta, double gamma,
+    double *th_out, double *xt_out, double *yt_out)
 {
-    $REAL$ A = ($REAL$)p->a, B = ($REAL$)p->b, C = ($REAL$)p->cap;
-    $REAL$ K = ($REAL$)p->k;
-    $REAL$ s0 = x0 + K * y0;
-    $REAL$ coef0 = dec ? (p->linear_dec ? B * C : B * (y0 + C)) : A;
-    $REAL$ f0x = y0, f0y = -coef0 * s0;
-    $REAL$ s1 = x1 + K * y1;
-    $REAL$ coef1 = dec ? (p->linear_dec ? B * C : B * (y1 + C)) : A;
-    $REAL$ f1x = y1, f1y = -coef1 * s1;
-    $REAL$ u0 = alpha * x0 + beta * y0 + gamma;
-    $REAL$ u1 = alpha * x1 + beta * y1 + gamma;
-    $REAL$ d0 = h * (alpha * f0x + beta * f0y);
-    $REAL$ d1 = h * (alpha * f1x + beta * f1y);
-    $REAL$ c0 = u0, c1 = d0;
-    $REAL$ c2 = ($REAL$)3.0 * (u1 - u0) - ($REAL$)2.0 * d0 - d1;
-    $REAL$ c3 = ($REAL$)2.0 * (u0 - u1) + d0 + d1;
-    $REAL$ lo = 0.0, hi = 1.0, g_lo = u0;
-    $REAL$ b2 = ($REAL$)2.0 * c2, b3 = ($REAL$)3.0 * c3;
-    $REAL$ denom = u0 - u1, theta, t2, om, h00, h10, h01, h11;
+    double A = p->a, B = p->b, C = p->cap;
+    double K = p->k;
+    double s0 = x0 + K * y0;
+    double coef0 = dec ? (p->linear_dec ? B * C : B * (y0 + C)) : A;
+    double f0x = y0, f0y = -coef0 * s0;
+    double s1 = x1 + K * y1;
+    double coef1 = dec ? (p->linear_dec ? B * C : B * (y1 + C)) : A;
+    double f1x = y1, f1y = -coef1 * s1;
+    double u0 = alpha * x0 + beta * y0 + gamma;
+    double u1 = alpha * x1 + beta * y1 + gamma;
+    double d0 = h * (alpha * f0x + beta * f0y);
+    double d1 = h * (alpha * f1x + beta * f1y);
+    double c0 = u0, c1 = d0;
+    double c2 = 3.0 * (u1 - u0) - 2.0 * d0 - d1;
+    double c3 = 2.0 * (u0 - u1) + d0 + d1;
+    double lo = 0.0, hi = 1.0, g_lo = u0;
+    double b2 = 2.0 * c2, b3 = 3.0 * c3;
+    double denom = u0 - u1, theta, t2, om, h00, h10, h01, h11;
     int it;
-    theta = denom == ($REAL$)0.0 ? ($REAL$)NAN : u0 / denom;
-    if (!isfinite(theta)) theta = ($REAL$)0.5;
-    else if (theta < ($REAL$)0.0) theta = 0.0;
-    else if (theta > ($REAL$)1.0) theta = 1.0;
+    theta = denom == 0.0 ? NAN : u0 / denom;
+    if (!isfinite(theta)) theta = 0.5;
+    else if (theta < 0.0) theta = 0.0;
+    else if (theta > 1.0) theta = 1.0;
     for (it = 0; it < 16; it++) {
-        $REAL$ g = ((c3 * theta + c2) * theta + c1) * theta + c0;
-        $REAL$ slope, newton;
-        if (g_lo * g > ($REAL$)0.0) { lo = theta; g_lo = g; }
+        double g = ((c3 * theta + c2) * theta + c1) * theta + c0;
+        double slope, newton;
+        if (g_lo * g > 0.0) { lo = theta; g_lo = g; }
         else hi = theta;
         slope = (b3 * theta + b2) * theta + c1;
-        newton = slope != ($REAL$)0.0 ? theta - g / slope : ($REAL$)INFINITY;
+        newton = slope != 0.0 ? theta - g / slope : INFINITY;
         if (newton > lo && newton < hi) theta = newton;
-        else theta = ($REAL$)0.5 * (lo + hi);
+        else theta = 0.5 * (lo + hi);
     }
     t2 = theta * theta;
-    om = ($REAL$)1.0 - theta;
-    h00 = (($REAL$)1.0 + ($REAL$)2.0 * theta) * om * om;
+    om = 1.0 - theta;
+    h00 = (1.0 + 2.0 * theta) * om * om;
     h10 = theta * om * om;
-    h01 = t2 * (($REAL$)3.0 - ($REAL$)2.0 * theta);
-    h11 = t2 * (theta - ($REAL$)1.0);
+    h01 = t2 * (3.0 - 2.0 * theta);
+    h11 = t2 * (theta - 1.0);
     *th_out = theta;
     *xt_out = h00 * x0 + h10 * (h * f0x) + h01 * x1 + h11 * (h * f1x);
     *yt_out = h00 * y0 + h10 * (h * f0y) + h01 * y1 + h11 * (h * f1y);
 }
 
-static void advance_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
+static void advance(fparams *p, frow *rs, int64_t r,
     double t0, double h_in, int64_t step_i)
 {
     double t0d = t0, h = h_in;
-    $REAL$ A = ($REAL$)p->a, B = ($REAL$)p->b, C = ($REAL$)p->cap;
-    $REAL$ K = ($REAL$)p->k, Q0 = ($REAL$)p->q0;
-    $REAL$ XF = ($REAL$)p->x_full, XE = ($REAL$)p->x_empty;
+    double A = p->a, B = p->b, C = p->cap;
+    double K = p->k, Q0 = p->q0;
+    double XF = p->x_full, XE = p->x_empty;
     for (;;) {
-        $REAL$ xx0 = rs->x, yy0 = rs->y;
-        $REAL$ rsign = rs->dec ? ($REAL$)1.0 : ($REAL$)-1.0;
-        $REAL$ hr = ($REAL$)h;
-        $REAL$ s_, coef, k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y, ax, ay;
-        $REAL$ sixth, x1, y1, s1, line_tol, theta, xe, ye;
+        double xx0 = rs->x, yy0 = rs->y;
+        double rsign = rs->dec ? 1.0 : -1.0;
+        double hr = h;
+        double s_, coef, k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y, ax, ay;
+        double sixth, x1, y1, s1, line_tol, theta, xe, ye;
         double t_ev;
         int term = 0;
         s_ = xx0 + K * yy0;
         coef = rs->dec ? (p->linear_dec ? B * C : B * (yy0 + C)) : A;
         k1x = yy0; k1y = -coef * s_;
-        ax = xx0 + ($REAL$)0.5 * hr * k1x; ay = yy0 + ($REAL$)0.5 * hr * k1y;
+        ax = xx0 + 0.5 * hr * k1x; ay = yy0 + 0.5 * hr * k1y;
         s_ = ax + K * ay;
         coef = rs->dec ? (p->linear_dec ? B * C : B * (ay + C)) : A;
         k2x = ay; k2y = -coef * s_;
-        ax = xx0 + ($REAL$)0.5 * hr * k2x; ay = yy0 + ($REAL$)0.5 * hr * k2y;
+        ax = xx0 + 0.5 * hr * k2x; ay = yy0 + 0.5 * hr * k2y;
         s_ = ax + K * ay;
         coef = rs->dec ? (p->linear_dec ? B * C : B * (ay + C)) : A;
         k3x = ay; k3y = -coef * s_;
@@ -693,70 +682,66 @@ static void advance_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
         s_ = ax + K * ay;
         coef = rs->dec ? (p->linear_dec ? B * C : B * (ay + C)) : A;
         k4x = ay; k4y = -coef * s_;
-        sixth = hr / ($REAL$)6.0;
-        x1 = xx0 + sixth * (k1x + ($REAL$)2.0 * (k2x + k3x) + k4x);
-        y1 = yy0 + sixth * (k1y + ($REAL$)2.0 * (k2y + k3y) + k4y);
+        sixth = hr / 6.0;
+        x1 = xx0 + sixth * (k1x + 2.0 * (k2x + k3x) + k4x);
+        y1 = yy0 + sixth * (k1y + 2.0 * (k2y + k3y) + k4y);
 
         s1 = x1 + K * y1;
-        line_tol = ($REAL$)1e-12 * (($REAL$)fabs((double)x1)
-                   + K * ($REAL$)fabs((double)y1) + Q0);
+        line_tol = 1e-12 * (fabs(x1) + K * fabs(y1) + Q0);
         theta = 1.0;
         xe = x1; ye = y1;
         if (s1 * rsign < -line_tol) {
-            $REAL$ th, xt, yt;
-            refine_$SFX$(p, xx0, yy0, rs->dec, hr, x1, y1,
-                         ($REAL$)1.0, K, ($REAL$)0.0, &th, &xt, &yt);
+            double th, xt, yt;
+            refine(p, xx0, yy0, rs->dec, hr, x1, y1,
+                   1.0, K, 0.0, &th, &xt, &yt);
             if (th < theta) { theta = th; xe = xt; ye = yt; term = 1; }
         }
         if (p->physical) {
             if (xx0 < XF && x1 >= XF) {
-                $REAL$ th, xt, yt;
-                refine_$SFX$(p, xx0, yy0, rs->dec, hr, x1, y1,
-                             ($REAL$)1.0, ($REAL$)0.0, -XF, &th, &xt, &yt);
+                double th, xt, yt;
+                refine(p, xx0, yy0, rs->dec, hr, x1, y1,
+                       1.0, 0.0, -XF, &th, &xt, &yt);
                 if (th < theta) { theta = th; xe = xt; ye = yt; term = 2; }
             }
             if (xx0 > XE && x1 <= XE) {
-                $REAL$ th, xt, yt;
-                refine_$SFX$(p, xx0, yy0, rs->dec, hr, x1, y1,
-                             ($REAL$)1.0, ($REAL$)0.0, -XE, &th, &xt, &yt);
+                double th, xt, yt;
+                refine(p, xx0, yy0, rs->dec, hr, x1, y1,
+                       1.0, 0.0, -XE, &th, &xt, &yt);
                 if (th < theta) { theta = th; xe = xt; ye = yt; term = 3; }
             }
         }
-        t_ev = t0d + (double)theta * h;
+        t_ev = t0d + theta * h;
 
-        if (yy0 * ye < ($REAL$)0.0) {
-            $REAL$ hk = hr * theta, th, xt, yt;
-            refine_$SFX$(p, xx0, yy0, rs->dec, hk, xe, ye,
-                         ($REAL$)0.0, ($REAL$)1.0, ($REAL$)0.0, &th, &xt, &yt);
-            record_$SFX$(p, rs, r, t0d + (double)th * (double)hk, 1,
-                         (double)xt, (double)yt);
+        if (yy0 * ye < 0.0) {
+            double hk = hr * theta, th, xt, yt;
+            refine(p, xx0, yy0, rs->dec, hk, xe, ye,
+                   0.0, 1.0, 0.0, &th, &xt, &yt);
+            record(p, rs, r, t0d + th * hk, 1, xt, yt);
         }
         if (!p->physical) {
             if (xx0 < XF && xe >= XF) {
-                $REAL$ hk = hr * theta, th, xt, yt;
-                refine_$SFX$(p, xx0, yy0, rs->dec, hk, xe, ye,
-                             ($REAL$)1.0, ($REAL$)0.0, -XF, &th, &xt, &yt);
-                record_$SFX$(p, rs, r, t0d + (double)th * (double)hk, 2,
-                             (double)xt, (double)yt);
+                double hk = hr * theta, th, xt, yt;
+                refine(p, xx0, yy0, rs->dec, hk, xe, ye,
+                       1.0, 0.0, -XF, &th, &xt, &yt);
+                record(p, rs, r, t0d + th * hk, 2, xt, yt);
             }
             if (xx0 > XE && xe <= XE) {
-                $REAL$ hk = hr * theta, th, xt, yt;
-                refine_$SFX$(p, xx0, yy0, rs->dec, hk, xe, ye,
-                             ($REAL$)1.0, ($REAL$)0.0, -XE, &th, &xt, &yt);
-                record_$SFX$(p, rs, r, t0d + (double)th * (double)hk, 3,
-                             (double)xt, (double)yt);
+                double hk = hr * theta, th, xt, yt;
+                refine(p, xx0, yy0, rs->dec, hk, xe, ye,
+                       1.0, 0.0, -XE, &th, &xt, &yt);
+                record(p, rs, r, t0d + th * hk, 3, xt, yt);
             }
         }
 
         if (term == 0) { rs->x = xe; rs->y = ye; return; }
         if (term == 1) {
             int over, conv;
-            record_$SFX$(p, rs, r, t_ev, 0, (double)xe, (double)ye);
+            record(p, rs, r, t_ev, 0, xe, ye);
             rs->sw_count++;
             over = rs->sw_count > p->max_switches;
             conv = !over
-                && fabs((double)xe) / p->q0 <= p->conv_rtol
-                && fabs((double)ye) / p->cap <= p->conv_rtol;
+                && fabs(xe) / p->q0 <= p->conv_rtol
+                && fabs(ye) / p->cap <= p->conv_rtol;
             if (over || conv) {
                 rs->alive = 0;
                 rs->dead_step = step_i + 1;
@@ -766,25 +751,25 @@ static void advance_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
                 rs->rsn = over ? 3 : 1; /* max_switches : converged */
                 return;
             }
-            rs->dec = ye > ($REAL$)0.0;
+            rs->dec = ye > 0.0;
             rs->x = xe; rs->y = ye;
             t0d = t_ev;
-            h = h * (1.0 - (double)theta);
+            h = h * (1.0 - theta);
             continue;
         }
         {
             int is_full = term == 2;
             double duration, t_step_end;
-            record_$SFX$(p, rs, r, t_ev, is_full ? 2 : 3,
-                         is_full ? (double)XF : (double)XE, (double)ye);
+            record(p, rs, r, t_ev, is_full ? 2 : 3,
+                   is_full ? XF : XE, ye);
             rs->pinned = is_full ? 1 : 2;
             rs->pin_t = t_ev;
             rs->pin_y = ye;
             if (is_full)
-                duration = log(((double)ye + p->cap) / p->cap)
+                duration = log((ye + p->cap) / p->cap)
                            / (p->b * p->x_full);
             else
-                duration = -(double)ye / (p->a * p->q0);
+                duration = -ye / (p->a * p->q0);
             rs->unpin_t = t_ev + duration;
             if (p->t_max < rs->unpin_t) rs->unpin_t = p->t_max;
             rs->x = is_full ? XF : XE;
@@ -792,11 +777,11 @@ static void advance_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
             t_step_end = t0d + h;
             if (rs->unpin_t <= t_step_end) {
                 double t_up = rs->unpin_t;
-                $REAL$ x_pin = is_full ? XF : XE;
+                double x_pin = is_full ? XF : XE;
                 rs->x = x_pin; rs->y = 0.0;
                 rs->pinned = 0;
                 rs->unpin_t = INFINITY;
-                rs->dec = x_pin > ($REAL$)0.0;
+                rs->dec = x_pin > 0.0;
                 t0d = t_up;
                 h = t_step_end - t_up;
                 continue;
@@ -806,16 +791,16 @@ static void advance_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
     }
 }
 
-void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
-    $REAL$ *x0, $REAL$ *y0, double a, double b, double cap, double kk,
+void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
+    double *x0, double *y0, double a, double b, double cap, double kk,
     double q0, double x_full, double x_empty, int64_t linear_dec,
     int64_t physical, int64_t max_switches, double conv_rtol,
-    double t_max, $REAL$ *xs, $REAL$ *ys, int8_t *reason,
-    int64_t *switches, double *t_endv, double *x_endv, double *y_endv,
+    double t_max, double *xs, double *ys, int8_t *reason,
+    int64_t *switches, double *t_end, double *x_end, double *y_end,
     int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
     double *ev_x, double *ev_y, int64_t *out_i)
 {
-    fparams_$SFX$ p;
+    fparams p;
     int64_t r, last = 0;
     p.a = a; p.b = b; p.cap = cap; p.k = kk; p.q0 = q0;
     p.x_full = x_full; p.x_empty = x_empty;
@@ -826,32 +811,32 @@ void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
     p.overflow = 0;
 
     for (r = 0; r < m; r++) {
-        frow_$SFX$ rs;
-        $REAL$ K = ($REAL$)kk, XF = ($REAL$)x_full, XE = ($REAL$)x_empty;
-        $REAL$ s;
+        frow rs;
+        double K = kk, XF = x_full, XE = x_empty;
+        double s;
         int64_t i, i2;
         rs.x = x0[r]; rs.y = y0[r];
         s = rs.x + K * rs.y;
-        rs.dec = (s > ($REAL$)0.0)
-                 || (s == ($REAL$)0.0 && rs.y > ($REAL$)0.0);
+        rs.dec = (s > 0.0)
+                 || (s == 0.0 && rs.y > 0.0);
         rs.alive = 1; rs.pinned = 0; rs.rsn = 0;
         rs.pin_t = 0.0; rs.pin_y = 0.0; rs.unpin_t = INFINITY;
         rs.sw_count = 0; rs.n_ev = 0;
         rs.te = 0.0; rs.xe_final = rs.x; rs.ye_final = rs.y;
         rs.dead_step = n_steps;
 
-        if (fabs((double)rs.x) / q0 <= conv_rtol
-            && fabs((double)rs.y) / cap <= conv_rtol) {
+        if (fabs(rs.x) / q0 <= conv_rtol
+            && fabs(rs.y) / cap <= conv_rtol) {
             rs.alive = 0;
             rs.rsn = 1;
             rs.dead_step = 0;
-        } else if (physical && rs.x <= XE && rs.y < ($REAL$)0.0) {
+        } else if (physical && rs.x <= XE && rs.y < 0.0) {
             double duration;
-            record_$SFX$(&p, &rs, r, 0.0, 3, (double)XE, (double)rs.y);
+            record(&p, &rs, r, 0.0, 3, XE, rs.y);
             rs.pinned = 2;
             rs.pin_t = 0.0;
             rs.pin_y = rs.y;
-            duration = -(double)rs.y / (a * q0);
+            duration = -rs.y / (a * q0);
             rs.unpin_t = duration < t_max ? duration : t_max;
             rs.x = XE;
         }
@@ -861,26 +846,26 @@ void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
         for (i = 0; i < n_steps; i++) {
             double t0 = t_grid[i], t1 = t_grid[i + 1];
             if (rs.alive && rs.pinned == 0)
-                advance_$SFX$(&p, &rs, r, t0, t1 - t0, i);
+                advance(&p, &rs, r, t0, t1 - t0, i);
             if (physical && rs.alive && rs.pinned != 0
                 && rs.unpin_t <= t1 && rs.unpin_t < t_max) {
-                $REAL$ x_pin = rs.pinned == 1 ? XF : XE;
+                double x_pin = rs.pinned == 1 ? XF : XE;
                 double t_up = rs.unpin_t;
                 rs.x = x_pin; rs.y = 0.0;
                 rs.pinned = 0;
                 rs.unpin_t = INFINITY;
-                rs.dec = x_pin > ($REAL$)0.0;
-                advance_$SFX$(&p, &rs, r, t_up, t1 - t_up, i);
+                rs.dec = x_pin > 0.0;
+                advance(&p, &rs, r, t_up, t1 - t_up, i);
             }
             if (physical && rs.alive && rs.pinned != 0) {
                 double dt = t1 - rs.pin_t;
                 if (rs.pinned == 1) {
                     rs.x = XF;
-                    rs.y = ($REAL$)(((double)rs.pin_y + cap)
+                    rs.y = ((rs.pin_y + cap)
                            * exp(-b * x_full * dt) - cap);
                 } else {
                     rs.x = XE;
-                    rs.y = ($REAL$)((double)rs.pin_y + a * q0 * dt);
+                    rs.y = (rs.pin_y + a * q0 * dt);
                 }
             }
             xs[(i + 1) * m + r] = rs.x;
@@ -888,8 +873,8 @@ void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
         }
         if (rs.alive) {
             int conv = rs.pinned == 0
-                && fabs((double)rs.x) / q0 <= conv_rtol
-                && fabs((double)rs.y) / cap <= conv_rtol;
+                && fabs(rs.x) / q0 <= conv_rtol
+                && fabs(rs.y) / cap <= conv_rtol;
             rs.rsn = conv ? 1 : 2;
             rs.te = t_max;
             rs.xe_final = rs.x;
@@ -898,9 +883,9 @@ void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
         }
         reason[r] = (int8_t)rs.rsn;
         switches[r] = rs.sw_count;
-        t_endv[r] = rs.te;
-        x_endv[r] = (double)rs.xe_final;
-        y_endv[r] = (double)rs.ye_final;
+        t_end[r] = rs.te;
+        x_end[r] = rs.xe_final;
+        y_end[r] = rs.ye_final;
         n_events[r] = rs.n_ev;
         for (i2 = rs.dead_step; i2 < n_steps; i2++) {
             xs[(i2 + 1) * m + r] = rs.x;
@@ -914,12 +899,7 @@ void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
 }
 """
 
-SOURCE = (
-    "#include <stdlib.h>\n"
-    + _COMMON
-    + _FLUID_TEMPLATE.replace("$REAL$", "double").replace("$SFX$", "f64")
-    + _FLUID_TEMPLATE.replace("$REAL$", "float").replace("$SFX$", "f32")
-)
+SOURCE = "#include <stdlib.h>\n" + _COMMON + _FLUID
 
 
 def _build_root() -> Path:

@@ -1,24 +1,18 @@
-"""Compiled batch fluid integrator (``fluid_method="compiled"``).
+"""Compiled tier of the batch fluid integrator.
 
 :func:`simulate_fluid_batch_compiled` mirrors
 :func:`repro.fluid.batch.simulate_fluid_batch` — same signature, same
 :class:`~repro.fluid.batch.BatchFluidResult` — but runs the per-row
 switched RK4 + cubic-Hermite event refinement as one compiled kernel
-call instead of a python stepping loop over numpy temporaries.  In
-float64 the kernel commits the same floating-point operations in the
+call instead of a python stepping loop over numpy temporaries;
+``simulate_fluid_batch`` calls it whenever the platform has a compiled
+backend.  The kernel commits the same floating-point operations in the
 same order as the numpy implementation, so trajectories match
 bit-for-bit in the ``nonlinear``/``linearized`` modes (``physical``
 mode's pinned closed forms call ``exp``/``log``, identical through
 libm but allowed a ~1e-12 relative tolerance against numpy's SIMD
-vectorized transcendentals).
-
-``precision="float32"`` halves the state memory for ensemble work —
-appropriate for statistics over many trajectories (portraits, sweeps,
-stability scans) where per-sample error ~1e-7 of the natural scales is
-acceptable; event *times* remain float64.  Without a compiled backend
-this module transparently delegates to the numpy implementation
-(computing in float64 and casting, so results are deterministic across
-tiers).
+vectorized transcendentals).  Without a compiled backend this module
+delegates to the numpy implementation.
 """
 
 from __future__ import annotations
@@ -48,24 +42,20 @@ def simulate_fluid_batch_compiled(
     dt_scale: float = 0.02,
     convergence_rtol: float | None = None,
     obs=None,
-    precision: str = "float64",
     backend: KernelBackend | None = None,
 ):
     """Compiled drop-in for :func:`repro.fluid.batch.simulate_fluid_batch`."""
     from ..fluid import batch as _batch
 
-    if precision not in ("float64", "float32"):
-        raise ValueError(f"unknown precision {precision!r}")
     if convergence_rtol is None:
         convergence_rtol = _batch._CONVERGENCE_RTOL
     be = backend if backend is not None else get_backend()
+    numpy_kwargs = dict(t_max=t_max, mode=mode, max_switches=max_switches,
+                      dt=dt, dt_scale=dt_scale,
+                      convergence_rtol=convergence_rtol, obs=obs)
     if not be.compiled:
-        return _batch.simulate_fluid_batch(
-            params, x0, y0, t_max=t_max, mode=mode,
-            max_switches=max_switches, dt=dt, dt_scale=dt_scale,
-            convergence_rtol=convergence_rtol, obs=obs,
-            fluid_method="numpy", precision=precision,
-        )
+        return _batch._simulate_fluid_batch_numpy(params, x0, y0,
+                                                  **numpy_kwargs)
 
     p = _batch.as_normalized(params)
     if dt is None:
@@ -80,14 +70,13 @@ def simulate_fluid_batch_compiled(
     x0a = np.atleast_1d(np.asarray(x0, dtype=float))
     y0a = np.atleast_1d(np.asarray(y0, dtype=float))
     xb, yb = np.broadcast_arrays(x0a, y0a)
-    real = np.float32 if precision == "float32" else np.float64
-    xr = np.ascontiguousarray(xb, dtype=real)
-    yr = np.ascontiguousarray(yb, dtype=real)
+    xr = np.ascontiguousarray(xb)
+    yr = np.ascontiguousarray(yb)
     m = xr.size
 
     t_grid = np.linspace(0.0, t_max, n_steps + 1)
-    xs = np.zeros((n_steps + 1) * m, dtype=real)
-    ys = np.zeros((n_steps + 1) * m, dtype=real)
+    xs = np.zeros((n_steps + 1) * m)
+    ys = np.zeros((n_steps + 1) * m)
     reason = np.zeros(m, dtype=np.int8)
     switches = np.zeros(m, dtype=np.int64)
     t_end = np.zeros(m)
@@ -116,12 +105,8 @@ def simulate_fluid_batch_compiled(
     if out_i[1]:
         # Pathological event density blew the preallocated buffers —
         # redo on the numpy path, which allocates dynamically.
-        return _batch.simulate_fluid_batch(
-            params, x0, y0, t_max=t_max, mode=mode,
-            max_switches=max_switches, dt=dt, dt_scale=dt_scale,
-            convergence_rtol=convergence_rtol, obs=obs,
-            fluid_method="numpy", precision=precision,
-        )
+        return _batch._simulate_fluid_batch_numpy(params, x0, y0,
+                                                  **numpy_kwargs)
 
     last = int(out_i[0])
     xs = xs.reshape(n_steps + 1, m)
@@ -146,9 +131,9 @@ def simulate_fluid_batch_compiled(
         for row in range(m):
             live = t_used <= t_end[row]
             _batch.record_fluid_obs(
-                obs, "fluid.compiled", p, events[row],
+                obs, "fluid.batch", p, events[row],
                 bool(reason[row] == 1), float(t_end[row]),
-                xs[: last + 1][live, row].astype(float), row=row)
+                xs[: last + 1][live, row], row=row)
 
     return _batch.BatchFluidResult(
         params=p,

@@ -1,4 +1,4 @@
-"""Compiled frame-train window processing (``engine="compiled"``).
+"""Compiled frame-train window processing for the batched engine.
 
 :class:`CompiledSwitchKernel` subclasses the numpy-vectorized
 :class:`repro.simulation.switch.BatchedSwitchKernel` and replaces its
@@ -7,9 +7,8 @@
 BCN emission, service accounting) and the exact per-frame fallback for
 drop-tail windows — while keeping every observable side effect
 (switch stats, queue counters, sigma history, obs events, RNG stream
-position) identical to the batched engine.  It needs a compiled
-backend; without one ``engine="compiled"`` runs the inherited numpy
-kernel itself.
+position) identical to the numpy kernel.  The batched engine uses it
+whenever :func:`~repro.kernels.get_backend` is compiled.
 """
 
 from __future__ import annotations

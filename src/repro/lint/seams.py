@@ -2,8 +2,9 @@
 
 Four engines reproduce the same dynamics behind two selector seams:
 ``engine=`` (packet: the registry literal ``PACKET_ENGINES`` in
-``repro/simulation/network.py``) and ``fluid_method=`` /
-``fluid_engine=`` (fluid).  Code that branches on a seam variable and
+``repro/simulation/network.py``) and ``fluid_engine=`` (fluid).  The
+kernel tier under an engine is not a seam: the platform picks it
+(:mod:`repro.kernels`).  Code that branches on a seam variable and
 silently routes an unknown name down a default path is how a newly
 registered engine ends up "working" while quietly running the wrong
 implementation.
@@ -34,13 +35,11 @@ from .vocab import _literal_strings
 __all__ = ["check_engine_seam", "seam_registries"]
 
 #: Fallback when network.py is unavailable (synthetic test trees).
-_PACKET_ENGINES_DEFAULT = frozenset({"reference", "batched", "compiled"})
+_PACKET_ENGINES_DEFAULT = frozenset({"reference", "batched"})
 
-#: fluid_vs_packet's fluid integrator selector.
+#: fluid_vs_packet's fluid integrator selector, and the fluid engines
+#: the obs layer tags records with.
 _FLUID_ENGINES = frozenset({"reference", "batch"})
-
-#: simulate_fluid_batch's kernel selector.
-_FLUID_METHODS = frozenset({"numpy", "compiled", "auto"})
 
 #: The sharded-fabric selector: ``shards=`` takes integers, None, or
 #: this one literal (``MultiHopNetwork`` / ``repro.shard``).
@@ -54,13 +53,10 @@ _JOB_KINDS = frozenset({"experiment", "scenario", "sweep"})
 #: Seam keyword names that are safe to validate as *call keywords* too.
 #: ``engine=`` is excluded there: obs records reuse the keyword for
 #: engine *tags* ("packet.reference"), a different vocabulary.
-_KEYWORD_SEAMS = ("fluid_method", "fluid_engine", "shards", "job_kind")
+_KEYWORD_SEAMS = ("fluid_engine", "shards", "job_kind")
 
-#: Engine selectors the obs layer tags records with, per family.  The
-#: fluid family includes ``compiled`` (the CLI-level name for the
-#: compiled-kernel batch integrator).
+#: Engine families the obs layer tags records with.
 _TAG_FAMILIES = ("packet", "fluid")
-_FLUID_TAG_ENGINES = frozenset({"reference", "batch", "compiled"})
 
 
 def seam_registries(project: LintProject) -> dict[str, frozenset[str]]:
@@ -74,7 +70,6 @@ def seam_registries(project: LintProject) -> dict[str, frozenset[str]]:
     return {
         "engine": packet,
         "fluid_engine": _FLUID_ENGINES,
-        "fluid_method": _FLUID_METHODS,
         "shards": _SHARDS_LITERALS,
         "job_kind": _JOB_KINDS,
     }
@@ -91,7 +86,7 @@ def accepted_literals(registries: dict[str, frozenset[str]]
     out = dict(registries)
     tags = {""}
     for family in _TAG_FAMILIES:
-        engines = (_FLUID_TAG_ENGINES if family == "fluid"
+        engines = (registries["fluid_engine"] if family == "fluid"
                    else registries["engine"])
         tags.update(f"{family}.{engine}" for engine in engines)
     out["engine"] = registries["engine"] | tags

@@ -23,11 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import FCT_SLOWDOWN_EDGES
-from ..simulation.network import (
-    PACKET_ENGINES,
-    BCNNetworkSimulator,
-    SimulationResult,
-)
+from ..simulation.network import BCNNetworkSimulator, SimulationResult
 from .events import (
     CapacityChange,
     FlowArrival,
@@ -135,10 +131,6 @@ def run_scenario(
     obs=None,
 ) -> ScenarioResult:
     """Run ``scenario`` on the chosen packet engine and harvest results."""
-    if engine not in PACKET_ENGINES:
-        raise ValueError(
-            f"unknown packet engine {engine!r}; pick from {PACKET_ENGINES}"
-        )
     net = BCNNetworkSimulator(
         scenario.params,
         frame_bits=scenario.frame_bits,
@@ -146,6 +138,7 @@ def run_scenario(
         enable_pause=scenario.enable_pause,
         obs=obs,
     )
+    engine = net.engine  # the registered name (resolves synonyms)
 
     # Dynamic population first (declared before run in both engines),
     # then the switch-side timed events.

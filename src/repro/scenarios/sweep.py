@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..runner.parallel import run_sweep_parallel
-from ..simulation.network import PACKET_ENGINES
+from ..simulation.network import resolve_engine
 from .presets import PRESETS, get_preset
 from .runtime import run_scenario
 
@@ -37,11 +37,7 @@ class ScenarioPoint:
                 f"unknown scenario preset {self.preset!r}; "
                 f"available: {sorted(PRESETS)}"
             )
-        if self.engine not in PACKET_ENGINES:
-            raise ValueError(
-                f"unknown packet engine {self.engine!r}; "
-                f"pick from {PACKET_ENGINES}"
-            )
+        object.__setattr__(self, "engine", resolve_engine(self.engine))
 
     def with_(self, **overrides) -> "ScenarioPoint":
         """A validated copy with fields replaced (the runner seam)."""
@@ -105,7 +101,7 @@ def run_scenario_sweep(
         evaluate_scenario_point,
         workers=workers,
         cache=cache,
-        cache_id=f"scenario:{preset}:{engine}",
+        cache_id=f"scenario:{preset}:{base.engine}",
         stats=stats,
         obs=obs,
     )

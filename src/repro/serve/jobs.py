@@ -14,7 +14,8 @@ one :func:`job_key`, which is what the server deduplicates on:
   arbitrary-precision ints pass through unchanged, so distinct values
   can never collapse onto one key;
 * defaults are filled in before hashing, so eliding ``engine`` equals
-  writing ``"reference"``;
+  writing ``"reference"``, and an engine synonym equals the engine it
+  names (``"compiled"`` is ``"batched"``);
 * execution knobs (``workers`` etc., see
   :data:`repro.runner.executor.EXECUTION_OPTIONS`) are stripped — they
   change how a result is computed, never what it is.
@@ -139,20 +140,16 @@ class JobRequest:
                 f"seeds ({self.spec['engine']})")
 
 
-def _packet_engines() -> tuple[str, ...]:
-    from ..simulation.network import PACKET_ENGINES
-
-    return tuple(PACKET_ENGINES)
-
-
 def _normalize_engine(spec: Mapping, job_kind: str) -> str:
+    from ..simulation.network import PACKET_ENGINES, resolve_engine
+
     engine = spec.get("engine", "reference")
-    engines = _packet_engines()
-    if engine not in engines:
+    try:
+        return resolve_engine(engine)
+    except (TypeError, ValueError):
         raise JobError(
             f"{job_kind} job names unknown packet engine {engine!r}; "
-            f"registered: {', '.join(engines)}")
-    return engine
+            f"registered: {', '.join(PACKET_ENGINES)}") from None
 
 
 def _normalize_preset(spec: Mapping, job_kind: str) -> str:

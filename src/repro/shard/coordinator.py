@@ -34,7 +34,7 @@ import numpy as np
 
 from ..runner.parallel import resolve_workers
 from ..runner.pool import PersistentWorkerPool
-from ..simulation.multihop import MultiHopResult
+from ..simulation.multihop import OBS_ENGINE, MultiHopResult
 from .plan import ShardPlan
 from .runtime import ShardRuntime
 
@@ -75,7 +75,7 @@ def run_sharded(
             if part["obs"] is not None:
                 obs.merge_metrics(part["obs"])
         obs.count("shard.windows", len(barriers))
-        obs.add_span(f"packet.{plan.engine}.sharded.run",
+        obs.add_span(f"{OBS_ENGINE}.sharded.run",
                      time.perf_counter() - wall_start)
     return result
 

@@ -75,7 +75,6 @@ class ShardPlan:
     frame_bits: int
     delay: float
     hop_level_pause: bool
-    engine: str
     queue_dt: float
     #: Directed in-fabric port edges, in first-traversal order (the
     #: serial network's instantiation order).
@@ -144,7 +143,6 @@ def build_plan(
     frame_bits: int,
     delay: float,
     hop_level_pause: bool,
-    engine: str,
     queue_dt: float,
     partition: Partition | None = None,
     routes: dict[int, list[str]] | None = None,
@@ -213,7 +211,6 @@ def build_plan(
         frame_bits=frame_bits,
         delay=delay,
         hop_level_pause=hop_level_pause,
-        engine=engine,
         queue_dt=queue_dt,
         port_edges=tuple(port_edges),
         port_owner=port_owner,

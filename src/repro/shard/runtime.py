@@ -24,12 +24,10 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
-from ..simulation.engine import CalendarSimulator, Simulator
+from ..simulation.engine import Simulator
 from ..simulation.frames import EthernetFrame
 from ..simulation.link import Link
-from ..simulation.multihop import QueueRecorder
+from ..simulation.multihop import OBS_ENGINE, QueueRecorder
 from ..simulation.source import RateRegulator, TrafficSource
 from ..simulation.switch import CoreSwitch
 from ..workloads.flows import FlowSpec
@@ -102,8 +100,7 @@ class ShardRuntime:
             self.obs = Observability()
         else:
             self.obs = None
-        self._obs_engine = f"packet.{plan.engine}"
-        self.sim = _make_kernel(plan)
+        self.sim = Simulator()
 
         # Mirror the serial construction order exactly (see module
         # docstring): ports in first-traversal order over flows...
@@ -149,7 +146,7 @@ class ShardRuntime:
             fb_bits=cfg.fb_bits,
         )
         port.forward = lambda frame, _v=v: self._forward(frame, _v)
-        port.attach_obs(self.obs, self._obs_engine)
+        port.attach_obs(self.obs, OBS_ENGINE)
         return port
 
     def _wire_flow(self, spec: FlowSpec) -> None:
@@ -382,9 +379,9 @@ class ShardRuntime:
                 hist = port.sigma_history
                 emit_sign_switches(self.obs, [h[0] for h in hist],
                                    [h[1] for h in hist],
-                                   engine=self._obs_engine, node=port.cpid)
+                                   engine=OBS_ENGINE, node=port.cpid)
                 self.obs.observe_queue(
-                    self._obs_engine, queues[edge],
+                    OBS_ENGINE, queues[edge],
                     self.plan.config.buffer_bits, self.plan.config.q0)
         return {
             "shard": self.shard,
@@ -407,21 +404,6 @@ class ShardRuntime:
             "msgs_recv": self._msgs_recv,
             "obs": self.obs.snapshot() if self.obs is not None else None,
         }
-
-
-def _make_kernel(plan: ShardPlan) -> Simulator:
-    """The per-shard event kernel for the plan's ``engine`` seam value."""
-    if plan.engine == "reference":
-        return Simulator()
-    fastest = max(
-        (data["capacity"] for _, _, data in plan.graph.edges(data=True)
-         if "capacity" in data),
-        default=1e9,
-    )
-    slot = plan.frame_bits / fastest
-    if plan.engine in ("batched", "compiled"):
-        return CalendarSimulator(slot_width=slot, n_slots=4096)
-    raise ValueError(f"unknown packet engine {plan.engine!r}")
 
 
 def _route_edges(route: tuple[str, ...]) -> list[Edge]:

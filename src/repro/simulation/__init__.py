@@ -7,18 +7,17 @@ orchestrator (:mod:`.network`).  Frame formats, including the Fig. 2 BCN
 message, live in :mod:`.frames`.
 """
 
-from .engine import CalendarSimulator, Event, Simulator, make_simulator
+from .engine import Event, Simulator
 from .frames import BCN_ETHERTYPE, BCNMessage, EthernetFrame, PauseFrame
 from .link import Link
-from .network import PACKET_ENGINES, BCNNetworkSimulator, SimulationResult
+from .network import (PACKET_ENGINES, BCNNetworkSimulator, SimulationResult,
+                      resolve_engine)
 from .queueing import DropTailQueue
 from .source import RateRegulator, TrafficSource, expected_message_interval
 from .switch import BatchedSwitchKernel, BatchedWindow, CoreSwitch, SwitchStats
 
 __all__ = [
     "Simulator",
-    "CalendarSimulator",
-    "make_simulator",
     "Event",
     "EthernetFrame",
     "BCNMessage",
@@ -36,6 +35,7 @@ __all__ = [
     "BCNNetworkSimulator",
     "SimulationResult",
     "PACKET_ENGINES",
+    "resolve_engine",
 ]
 
 from .multihop import MultiHopNetwork, MultiHopResult, PortConfig

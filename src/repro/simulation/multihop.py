@@ -14,7 +14,11 @@ upstream with the head-of-line blocking the paper's Section I
 criticises (the victim-flow experiment M1 measures it); pass
 ``hop_level_pause=False`` for the simpler source-directed PAUSE.
 
-Large fabrics can run **sharded**: ``shards=`` partitions the topology
+Every port runs on the event-driven binary-heap kernel
+(:class:`~repro.simulation.engine.Simulator`), so the fabric has no
+``engine=`` choice; frame-train batching and the compiled window kernels
+apply to the single-bottleneck dumbbell only.  Large fabrics can run
+**sharded**: ``shards=`` partitions the topology
 (:func:`repro.topology.partition_graph`), one event kernel per shard
 advances in conservative lookahead windows, and ``workers=`` processes
 host the shards (:mod:`repro.shard`).  Results are independent of the
@@ -39,14 +43,17 @@ import numpy as np
 
 from ..topology.routing import ecmp_route, route_edges
 from ..workloads.flows import FlowSpec
-from .engine import CalendarSimulator, Simulator
+from .engine import Simulator
 from .frames import EthernetFrame
 from .link import Link
-from .network import PACKET_ENGINES
 from .source import RateRegulator, TrafficSource
 from .switch import CoreSwitch
 
 __all__ = ["PortConfig", "MultiHopResult", "MultiHopNetwork", "QueueRecorder"]
+
+#: Obs engine tag of the fabric's ports and spans, serial and sharded:
+#: every port runs on the event-driven reference kernel.
+OBS_ENGINE = "packet.reference"
 
 
 @dataclass(frozen=True)
@@ -170,19 +177,11 @@ class MultiHopNetwork:
         BCN parameters applied at every output port.
     propagation_delay:
         Per-hop one-way delay.
-    engine:
-        ``"reference"`` runs on the binary-heap event kernel;
-        ``"batched"`` and ``"compiled"`` both swap in the calendar-queue
-        kernel (:class:`~repro.simulation.engine.CalendarSimulator`)
-        with slots sized to one frame service time at the fastest port.
-        Event ordering — and therefore every result — is identical
-        across the three; frame-train batching and the compiled window
-        kernels currently apply to the single-bottleneck dumbbell only.
     shards:
         ``None`` (default) runs the serial single-kernel engine.  An
         integer or ``"auto"`` runs the conservative sharded engine of
         :mod:`repro.shard`: the graph is partitioned into that many
-        regions, each with its own ``engine`` kernel, synchronized in
+        regions, each with its own event kernel, synchronized in
         windows of one cross-shard propagation delay.  Requires a
         positive ``propagation_delay``.
     workers:
@@ -204,7 +203,6 @@ class MultiHopNetwork:
         propagation_delay: float = 0.5e-6,
         queue_sample_interval: float | None = None,
         hop_level_pause: bool = True,
-        engine: str = "reference",
         shards: int | str | None = None,
         workers: int | None = None,
         partition=None,
@@ -212,18 +210,12 @@ class MultiHopNetwork:
     ) -> None:
         if not flows:
             raise ValueError("need at least one flow")
-        if engine not in PACKET_ENGINES:
-            raise ValueError(
-                f"unknown packet engine {engine!r}; pick from {PACKET_ENGINES}"
-            )
         self.graph = graph
         self.config = port_config
         self.frame_bits = frame_bits
         self.delay = propagation_delay
-        self.engine = engine
         # Set before any port is created: _make_port attaches the handle.
         self.obs = obs if (obs is not None and obs.enabled) else None
-        self._obs_engine = f"packet.{engine}"
 
         self.routes: dict[int, list[str]] = {}
         for spec in flows:
@@ -267,7 +259,7 @@ class MultiHopNetwork:
         #: Declarative timed events ``(t, seq, kind, payload)`` injected
         #: by the scenario layer.  ``seq`` is a monotonic registration
         #: counter: ties at one timestamp fire in registration order on
-        #: every engine (serial heap, calendar, and each shard kernel).
+        #: the serial kernel and on every shard kernel.
         self._timed_events: list[tuple[float, int, str, tuple]] = []
         self._event_seq = itertools.count()
 
@@ -287,7 +279,6 @@ class MultiHopNetwork:
                 frame_bits=frame_bits,
                 delay=propagation_delay,
                 hop_level_pause=hop_level_pause,
-                engine=engine,
                 queue_dt=self._queue_dt,
                 partition=partition,
                 routes=self.routes,
@@ -301,16 +292,7 @@ class MultiHopNetwork:
             self._delivered: dict[int, float] = {}
             return
 
-        if engine == "batched" or engine == "compiled":
-            fastest = max(
-                (data["capacity"] for _, _, data in graph.edges(data=True)
-                 if "capacity" in data),
-                default=1e9,
-            )
-            slot = frame_bits / fastest
-            self.sim = CalendarSimulator(slot_width=slot, n_slots=4096)
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator()
 
         # Instantiate one port per directed switch-output edge in use.
         self.ports = {}
@@ -403,7 +385,7 @@ class MultiHopNetwork:
             fb_bits=cfg.fb_bits,
         )
         port.forward = lambda frame, _u=u, _v=v: self._forward(frame, _v)
-        port.attach_obs(self.obs, self._obs_engine)
+        port.attach_obs(self.obs, OBS_ENGINE)
         return port
 
     def _make_source(self, spec: FlowSpec) -> TrafficSource:
@@ -536,15 +518,15 @@ class MultiHopNetwork:
 
         if self.obs is not None:
             from ..obs import emit_sign_switches
-            self.obs.add_span(f"{self._obs_engine}.multihop.run",
+            self.obs.add_span(f"{OBS_ENGINE}.multihop.run",
                               _time.monotonic() - wall_start)  # repro-lint: disable=wall-clock -- obs run-span wall-time
             for edge, port in self.ports.items():
                 hist = port.sigma_history
                 emit_sign_switches(self.obs, [h[0] for h in hist],
                                    [h[1] for h in hist],
-                                   engine=self._obs_engine, node=port.cpid)
+                                   engine=OBS_ENGINE, node=port.cpid)
                 self.obs.observe_queue(
-                    self._obs_engine, port_queues[edge],
+                    OBS_ENGINE, port_queues[edge],
                     self.config.buffer_bits, self.config.q0)
 
         return MultiHopResult(

@@ -24,11 +24,31 @@ from .link import Link
 from .source import RateRegulator, TrafficSource, expected_message_interval
 from .switch import BatchedSwitchKernel, CoreSwitch
 
-__all__ = ["SimulationResult", "BCNNetworkSimulator", "PACKET_ENGINES"]
+__all__ = ["SimulationResult", "BCNNetworkSimulator", "PACKET_ENGINES",
+           "resolve_engine"]
 
-#: Selectable packet engines: the event-driven oracle, the frame-train
-#: batched fast path, and its compiled-kernel variant (``repro.kernels``).
-PACKET_ENGINES = ("reference", "batched", "compiled")
+#: Selectable packet engines: the event-driven oracle and the frame-train
+#: batched fast path (on :mod:`repro.kernels`' compiled tier when one is
+#: available, on numpy ops otherwise).
+PACKET_ENGINES = ("reference", "batched")
+
+#: Former engine names still accepted, and the engine each now names.
+_ENGINE_SYNONYMS = {"compiled": "batched"}
+
+
+def resolve_engine(engine: str) -> str:
+    """The registered packet engine that ``engine`` names.
+
+    Accepts a :data:`PACKET_ENGINES` name or a former name kept as a
+    synonym (``"compiled"`` is the batched engine, which runs the
+    compiled kernels by itself whenever the platform has them).
+    """
+    resolved = _ENGINE_SYNONYMS.get(engine, engine)
+    if resolved not in PACKET_ENGINES:
+        raise ValueError(
+            f"unknown packet engine {engine!r}; pick from {PACKET_ENGINES}"
+        )
+    return resolved
 
 
 class _SeriesBuffer:
@@ -78,7 +98,7 @@ class _SeriesBuffer:
 
 
 class _Pacing:
-    """Per-source pacing state plus the batched engine's window ops.
+    """Per-source pacing state plus the batched engine's numpy window ops.
 
     The window loop calls ``plan`` → ``merge`` → (switch ``process``) →
     ``commit`` → ``repay`` once per window.  Every op updates the state
@@ -327,14 +347,9 @@ class SimulationResult:
     duration: float
     capacity: float
 
-    def utilization(self, *, settle: float = 0.0) -> float:
-        """Bottleneck utilisation over ``[settle, duration]``."""
-        horizon = self.duration - settle
-        if horizon <= 0:
-            raise ValueError("settle must be below the run duration")
-        return self.delivered_bits / (self.capacity * self.duration) if settle == 0 else (
-            self.delivered_bits / (self.capacity * self.duration)
-        )
+    def utilization(self) -> float:
+        """Bottleneck utilisation over the whole run."""
+        return self.delivered_bits / (self.capacity * self.duration)
 
     def jain_fairness(self) -> float:
         """Jain's fairness index of the final per-source rates."""
@@ -389,12 +404,11 @@ class BCNNetworkSimulator:
     engine:
         ``"reference"`` (the event-driven kernel, one callback per
         frame — the differential oracle) or ``"batched"`` (frame-train
-        batching: sources plan whole emission trains as numpy arrays
-        and the switch drains them through the vectorized
-        :class:`~repro.simulation.switch.BatchedSwitchKernel`) or
-        ``"compiled"`` (the same windows run through the
-        :mod:`repro.kernels` backend, bit-identical to ``"batched"``).
-        All engines are deterministic; they agree within a documented
+        batching: sources plan whole emission trains and the switch
+        drains them window by window; see :meth:`_run_windows` for how
+        the platform picks the kernel tier).  ``"compiled"`` is accepted
+        as a synonym of ``"batched"`` (:func:`resolve_engine`).
+        Both engines are deterministic; they agree within a documented
         tolerance — the batched engine computes queue/sigma/sampling
         exactly but applies control messages to the regulators at
         window boundaries, so rate changes can lag their reference
@@ -433,10 +447,7 @@ class BCNNetworkSimulator:
         control_quantum: float | None = None,
         obs=None,
     ) -> None:
-        if engine not in PACKET_ENGINES:
-            raise ValueError(
-                f"unknown packet engine {engine!r}; pick from {PACKET_ENGINES}"
-            )
+        engine = resolve_engine(engine)
         self.params = params
         self.frame_bits = frame_bits
         self.engine = engine
@@ -645,17 +656,16 @@ class BCNNetworkSimulator:
             raise ValueError(f"unknown event kind {kind!r}")
 
     def _run_windows(self, duration: float) -> None:
-        """Drive the scenario in control-quantum windows.
+        """Drive the scenario in control-quantum windows (batched engine).
 
-        The batched and compiled engines share this loop.  Within a
-        window every regulator's rate is frozen, so each source
-        contributes an arithmetic emission train (the maths of
-        :meth:`~repro.simulation.source.TrafficSource.plan_train`, held
-        vectorized across sources); the merged train goes through the
-        switch window kernel, which returns the BCN messages (and
-        possibly a PAUSE) the window generated.  Control is delivered to
-        the sources at the window boundary with its true timestamps —
-        the regulator arithmetic (including the fluid modes' ``dt``
+        Within a window every regulator's rate is frozen, so each source
+        contributes an arithmetic emission train (one gap apart from its
+        pending emission, held vectorized across sources by
+        :class:`_Pacing`); the merged train goes through the switch
+        window kernel, which returns the BCN messages (and possibly a
+        PAUSE) the window generated.  Control is delivered to the
+        sources at the window boundary with its true timestamps — the
+        regulator arithmetic (including the fluid modes' ``dt``
         integration) is exact, but a rate update takes effect on pacing
         up to one window later than under the reference engine.  The
         first-order part of that lag is compensated: each update books
@@ -666,17 +676,18 @@ class BCNNetworkSimulator:
         stays sharp; a window where drop-tail engages is replayed
         frame-by-frame by the kernel's exact scalar fallback.
 
-        The engines differ only in the ops that plan, merge, commit and
-        repay the trains: ``engine="batched"`` runs numpy-vectorized
-        ops and the :class:`BatchedSwitchKernel`; ``engine="compiled"``
-        runs the bound kernels of :func:`repro.kernels.get_backend` and
-        a :class:`~repro.kernels.CompiledSwitchKernel`, and — when every
+        The kernel tier is the platform's, not the caller's: with a
+        compiled :func:`repro.kernels.get_backend` the ops that plan,
+        merge, commit and repay the trains are its bound kernels
+        (:class:`_CompiledPacing`), the switch is a
+        :class:`~repro.kernels.CompiledSwitchKernel`, and — when every
         regulator follows the same law and no ``on_rate_change``
-        observer is attached — applies the BCN messages to
-        struct-of-array regulator state in one kernel call, folding it
-        back into the :class:`RateRegulator` objects at the end of the
-        run.  Without a compiled backend ``engine="compiled"`` runs the
-        numpy ops, which the kernels match bit-for-bit anyway.
+        observer is attached — the BCN messages apply to struct-of-array
+        regulator state in one kernel call, folded back into the
+        :class:`RateRegulator` objects at the end of the run.  Without
+        one the same ops run as numpy (:class:`_Pacing`,
+        :class:`BatchedSwitchKernel`), which the kernels match
+        bit-for-bit.
 
         Timed events (:meth:`schedule_capacity`, :meth:`schedule_outage`,
         :meth:`schedule_departure`) are additional window boundaries:
@@ -688,13 +699,9 @@ class BCNNetworkSimulator:
         train, and finite flows cap their train at the frames they have
         left.
         """
-        be = None
-        if self.engine == "compiled":
-            from ..kernels import get_backend
+        from ..kernels import get_backend
 
-            be = get_backend()
-            if not be.compiled:
-                be = None
+        be = get_backend()
         if any(s.muted for s in self.sources):
             raise NotImplementedError(
                 f"the {self.engine} engine cannot pace initially-muted "
@@ -713,7 +720,7 @@ class BCNNetworkSimulator:
             pause_commit_horizon=2.0 * d,
         )
         soa = None
-        if be is None:
+        if not be.compiled:
             kernel = BatchedSwitchKernel(self.switch, self.frame_bits,
                                          **kernel_kw)
             pacing = _Pacing(self.sources, L, cpid)
@@ -852,7 +859,6 @@ class BCNNetworkSimulator:
         for i, source in enumerate(self.sources):
             source.frames_sent += int(pacing.frames_acc[i])
             source.bits_sent += float(pacing.frames_acc[i]) * L
-            source._train_next = float(pacing.next_emit[i])
         if soa is not None:
             soa.sync(cpid)
         self.sim._now = duration

@@ -19,9 +19,14 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import BCNParams
-from repro.kernels import get_backend, reset_backend
+from repro.kernels import get_backend
 from repro.simulation.network import (PACKET_ENGINES, BCNNetworkSimulator,
                                       _SoAMessages)
+
+requires_compiled = pytest.mark.skipif(
+    not get_backend().compiled,
+    reason="no compiled backend (cffi + C compiler) available",
+)
 
 
 def _params():
@@ -67,14 +72,15 @@ def test_engine_is_bit_deterministic(engine, random_sampling):
     assert a.delivered_bits == b.delivered_bits
 
 
+@requires_compiled
 @pytest.mark.parametrize("random_sampling", [False, True])
-def test_compiled_matches_batched_bitwise(random_sampling):
-    """``engine="compiled"`` replays the batched engine's exact
-    arithmetic (and its RNG draw discipline), so the results match bit
-    for bit on every backend tier — the numpy tier runs the batched
-    engine's own ops."""
-    a = _run("batched", random_sampling=random_sampling)
-    b = _run("compiled", random_sampling=random_sampling)
+def test_compiled_matches_batched_bitwise(random_sampling, numpy_tier):
+    """The batched engine's compiled kernels replay its numpy ops' exact
+    arithmetic (and their RNG draw discipline), so the two kernel tiers
+    match bit for bit."""
+    with numpy_tier():
+        a = _run("batched", random_sampling=random_sampling)
+    b = _run("batched", random_sampling=random_sampling)
     np.testing.assert_array_equal(a.t, b.t)
     np.testing.assert_array_equal(a.queue, b.queue)
     np.testing.assert_array_equal(a.rate_total, b.rate_total)
@@ -87,13 +93,13 @@ def test_compiled_matches_batched_bitwise(random_sampling):
     assert a.delivered_bits == b.delivered_bits
 
 
-def _run_heterogeneous_gains(engine):
+def _run_heterogeneous_gains():
     """A dumbbell with per-source Gi/Gd jittered +-30% (v6's "gain"
-    perturbation): non-uniform regulator laws keep the compiled engine
+    perturbation): non-uniform regulator laws keep the compiled tier
     off its struct-of-arrays message kernel, so every BCN message goes
     through the window loop's python ``receive_control`` delivery."""
     rng = random.Random(3)
-    net = BCNNetworkSimulator(_params(), frame_bits=12_000, engine=engine,
+    net = BCNNetworkSimulator(_params(), frame_bits=12_000, engine="batched",
                               regulator_mode="fluid-exact",
                               random_sampling=True)
     for source in net.sources:
@@ -103,22 +109,11 @@ def _run_heterogeneous_gains(engine):
     return net, net.run(0.02)
 
 
-@pytest.fixture(params=["cffi", "numpy"])
-def kernel_tier(request, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
-    reset_backend()
-    try:
-        get_backend()
-    except Exception as exc:  # no C compiler / cffi here
-        pytest.skip(f"{request.param} tier unavailable: {exc}")
-    yield request.param
-    monkeypatch.undo()
-    reset_backend()
-
-
-def test_compiled_matches_batched_through_the_message_loop(kernel_tier):
-    net_b, a = _run_heterogeneous_gains("batched")
-    net_c, b = _run_heterogeneous_gains("compiled")
+@requires_compiled
+def test_compiled_matches_batched_through_the_message_loop(numpy_tier):
+    with numpy_tier():
+        net_b, a = _run_heterogeneous_gains()
+    net_c, b = _run_heterogeneous_gains()
     assert a.bcn_negative + a.bcn_positive > 0
     np.testing.assert_array_equal(a.t, b.t)
     np.testing.assert_array_equal(a.queue, b.queue)

@@ -28,6 +28,9 @@ shift individual samples, so counts agree within documented tolerances:
 Each packet engine's ``bcn`` event count must equal its own
 ``bcn_negative + bcn_positive`` stats exactly — events are emitted at
 the emission sites, not re-derived.
+
+**Packet, batched numpy vs compiled tier** — the same engine on its two
+kernel tiers tells the same story record for record.
 """
 
 import pytest
@@ -36,8 +39,12 @@ from repro.core.parameters import BCNParams, paper_example_params
 from repro.experiments.presets import CASE1, CASE3, CASE1_SLOW
 from repro.fluid.batch import simulate_fluid_batch
 from repro.fluid.integrate import simulate_fluid
+from repro.kernels import get_backend
 from repro.obs import Observability
-from repro.simulation.network import BCNNetworkSimulator
+from repro.simulation.network import PACKET_ENGINES, BCNNetworkSimulator
+
+#: The fast packet engines, each held to the reference oracle.
+FAST_ENGINES = [e for e in PACKET_ENGINES if e != "reference"]
 
 PAUSE_DURATION = 50e-6
 
@@ -114,12 +121,12 @@ def _assert_packet_conformance(params, duration, engine="batched",
     return (ref_obs, ref_res), (bat_obs, bat_res)
 
 
-@pytest.mark.parametrize("engine", ["batched", "compiled"])
+@pytest.mark.parametrize("engine", FAST_ENGINES)
 def test_packet_paper_message_mode_conformance(engine):
     _assert_packet_conformance(paper_example_params(), 0.03, engine=engine)
 
 
-@pytest.mark.parametrize("engine", ["batched", "compiled"])
+@pytest.mark.parametrize("engine", FAST_ENGINES)
 def test_packet_small_buffer_drop_storm_conformance(engine):
     params = BCNParams(capacity=1e9, n_flows=10, q0=1e6, buffer_size=4e6,
                        w=2.0, pm=0.1, gi=4.0, gd=1e-5, ru=8e6)
@@ -129,7 +136,7 @@ def test_packet_small_buffer_drop_storm_conformance(engine):
     assert bat_obs.event_counts()["drop"] > 100
 
 
-@pytest.mark.parametrize("engine", ["batched", "compiled"])
+@pytest.mark.parametrize("engine", FAST_ENGINES)
 def test_packet_pause_pairing_conformance(engine):
     base = paper_example_params()
     params = base.with_(q_sc=0.6 * base.buffer_size)
@@ -158,7 +165,7 @@ def test_packet_pause_pairing_conformance(engine):
     assert abs(ref_on - bat_on) <= max(2, 0.12 * ref_on)
 
 
-@pytest.mark.parametrize("engine", ["batched", "compiled"])
+@pytest.mark.parametrize("engine", FAST_ENGINES)
 def test_packet_queue_histograms_agree(engine):
     ref_obs, _ = _packet_run(paper_example_params(), "reference", 0.03)
     bat_obs, _ = _packet_run(paper_example_params(), engine, 0.03)
@@ -168,15 +175,18 @@ def test_packet_queue_histograms_agree(engine):
     assert ref.mean() == pytest.approx(bat.mean(), rel=0.15)
 
 
-def test_packet_compiled_event_stream_matches_batched_exactly():
-    """The compiled engine tells the batched engine's story verbatim:
-    same records, same timestamps (multiset — the compiled drop-tail
-    fallback replays its events sorted by time, which can swap
+@pytest.mark.skipif(not get_backend().compiled,
+                    reason="no compiled backend (cffi + C compiler) available")
+def test_packet_compiled_event_stream_matches_batched_exactly(numpy_tier):
+    """The batched engine's compiled tier tells its numpy tier's story
+    verbatim: same records, same timestamps (multiset — the compiled
+    drop-tail fallback replays its events sorted by time, which can swap
     simultaneous events from different sources)."""
     base = paper_example_params()
     params = base.with_(q_sc=0.6 * base.buffer_size)
-    bat_obs, bat_res = _packet_run(params, "batched", 0.03)
-    com_obs, com_res = _packet_run(params, "compiled", 0.03)
+    with numpy_tier():
+        bat_obs, bat_res = _packet_run(params, "batched", 0.03)
+    com_obs, com_res = _packet_run(params, "batched", 0.03)
 
     def stream(obs):
         return sorted((e.kind, e.t, e.node, e.flow, e.value)

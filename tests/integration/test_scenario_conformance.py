@@ -29,13 +29,18 @@ The incast preset additionally must show a genuine PAUSE episode in the
 obs stream of *both* engines (queue through ``q_sc``, ``pause_on``
 events, FCT-slowdown histogram populated), and the varying-capacity
 preset must exercise at least two ``C(t)`` transitions.
+
+The batched engine's two kernel tiers (numpy ops and the compiled
+kernels) must agree bit for bit on every preset.
 """
 
 import numpy as np
 import pytest
 
+from repro.kernels import get_backend
 from repro.obs import Observability
 from repro.scenarios import get_preset, preset_names, run_scenario
+from repro.simulation.network import PACKET_ENGINES
 
 #: One control quantum (the batched engine's message-lag scale), used as
 #: the absolute floor for per-flow FCT agreement.
@@ -44,12 +49,26 @@ CONTROL_QUANTUM = 100e-6
 _RUNS: dict[tuple[str, str], object] = {}
 
 
+def _run(preset: str, engine: str):
+    obs = Observability()
+    result = run_scenario(get_preset(preset), engine=engine, obs=obs)
+    result._obs = obs
+    return result
+
+
 def _result(preset: str, engine: str):
     key = (preset, engine)
     if key not in _RUNS:
-        obs = Observability()
-        _RUNS[key] = run_scenario(get_preset(preset), engine=engine, obs=obs)
-        _RUNS[key]._obs = obs
+        _RUNS[key] = _run(preset, engine)
+    return _RUNS[key]
+
+
+def _numpy_tier_result(preset: str, numpy_tier):
+    """The batched run of ``preset`` on the numpy kernel tier."""
+    key = (preset, "batched@numpy")
+    if key not in _RUNS:
+        with numpy_tier():
+            _RUNS[key] = _run(preset, "batched")
     return _RUNS[key]
 
 
@@ -102,7 +121,7 @@ class TestPresetConformance:
 
     def test_bits_conserved_on_each_engine(self, preset):
         scenario = get_preset(preset)
-        for engine in ("reference", "batched", "compiled"):
+        for engine in PACKET_ENGINES:
             res = _result(preset, engine)
             slack = (res.sim.per_source_rate.size + 2) * scenario.frame_bits
             assert abs(res.conservation_error()) <= slack, (
@@ -126,15 +145,16 @@ class TestPresetConformance:
             schedule_stream(bat_obs, "batched")
 
 
+@pytest.mark.skipif(not get_backend().compiled,
+                    reason="no compiled backend (cffi + C compiler) available")
 class TestCompiledEngineExact:
-    """``engine="compiled"`` is the batched engine on compiled kernels:
-    same windows, same messages, same RNG draws — so scenario results
-    must match the batched engine **bit for bit** on every backend tier
-    (the numpy tier delegates to the batched path outright)."""
+    """The batched engine's compiled tier runs its numpy tier's windows:
+    same messages, same RNG draws — so scenario results match **bit for
+    bit** across the two tiers."""
 
-    def test_series_and_counters_match_batched(self, preset):
-        bat = _result(preset, "batched")
-        com = _result(preset, "compiled")
+    def test_series_and_counters_match_batched(self, preset, numpy_tier):
+        bat = _numpy_tier_result(preset, numpy_tier)
+        com = _result(preset, "batched")
         np.testing.assert_array_equal(com.sim.t, bat.sim.t)
         np.testing.assert_array_equal(com.sim.queue, bat.sim.queue)
         np.testing.assert_array_equal(com.sim.rate_total,
@@ -149,7 +169,7 @@ class TestCompiledEngineExact:
         assert com.injected_bits == bat.injected_bits
         assert com.queued_bits_end == bat.queued_bits_end
 
-    def test_obs_event_streams_match_batched(self, preset):
+    def test_obs_event_streams_match_batched(self, preset, numpy_tier):
         """Event-for-event agreement (multiset: the compiled drop-tail
         fallback replays drop/bcn/pause events sorted by time, which
         can reorder simultaneous events from different sources)."""
@@ -159,15 +179,14 @@ class TestCompiledEngineExact:
                 for e in res._obs.trace.records
             )
 
-        assert stream(_result(preset, "compiled")) == \
-            stream(_result(preset, "batched"))
+        assert stream(_result(preset, "batched")) == \
+            stream(_numpy_tier_result(preset, numpy_tier))
 
 
 class TestIncastEpisode:
     """The acceptance-criterion preset: a visible PAUSE episode."""
 
-    @pytest.mark.parametrize("engine",
-                             ["reference", "batched", "compiled"])
+    @pytest.mark.parametrize("engine", PACKET_ENGINES)
     def test_queue_punches_through_q_sc(self, engine):
         res = _result("incast-32", engine)
         q_sc = res.scenario.params.q_sc
@@ -175,8 +194,7 @@ class TestIncastEpisode:
         assert res.sim.queue_peak() > q_sc
         assert res.sim.pauses > 0
 
-    @pytest.mark.parametrize("engine",
-                             ["reference", "batched", "compiled"])
+    @pytest.mark.parametrize("engine", PACKET_ENGINES)
     def test_pause_episode_visible_in_obs(self, engine):
         obs = _result("incast-32", engine)._obs
         counts = obs.event_counts(engine=f"packet.{engine}")
@@ -184,8 +202,7 @@ class TestIncastEpisode:
         assert counts.get("pause_off", 0) > 0
         assert counts.get("flow_finish", 0) == 32
 
-    @pytest.mark.parametrize("engine",
-                             ["reference", "batched", "compiled"])
+    @pytest.mark.parametrize("engine", PACKET_ENGINES)
     def test_fct_slowdown_histogram_populated(self, engine):
         obs = _result("incast-32", engine)._obs
         hist = obs.metrics.histograms.get(f"fct_slowdown.packet.{engine}")
@@ -203,15 +220,13 @@ class TestVaryingCapacity:
         scenario = get_preset("varying-capacity")
         assert scenario.n_capacity_transitions() >= 2
 
-    @pytest.mark.parametrize("engine",
-                             ["reference", "batched", "compiled"])
+    @pytest.mark.parametrize("engine", PACKET_ENGINES)
     def test_capacity_steps_land_in_obs(self, engine):
         obs = _result("varying-capacity", engine)._obs
         counts = obs.event_counts(engine=f"packet.{engine}")
         assert counts.get("capacity_change", 0) >= 2
 
-    @pytest.mark.parametrize("engine",
-                             ["reference", "batched", "compiled"])
+    @pytest.mark.parametrize("engine", PACKET_ENGINES)
     def test_utilization_measured_against_integral(self, engine):
         res = _result("varying-capacity", engine)
         # BCN keeps the reduced-capacity link busy: against nominal C
@@ -222,8 +237,7 @@ class TestVaryingCapacity:
 
 
 class TestLossyOutage:
-    @pytest.mark.parametrize("engine",
-                             ["reference", "batched", "compiled"])
+    @pytest.mark.parametrize("engine", PACKET_ENGINES)
     def test_outage_fills_buffer_and_drops(self, engine):
         res = _result("lossy-outage", engine)
         assert res.sim.dropped_frames > 0

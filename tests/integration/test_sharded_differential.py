@@ -5,7 +5,7 @@ module docstrings:
 
 * **one shard == serial, bitwise** — a ``shards=1`` plan replays the
   serial :class:`MultiHopNetwork` construction and event order exactly,
-  so every result field matches bit for bit, on every packet engine;
+  so every result field matches bit for bit;
 * **worker layout is invisible** — the same plan run with 1, 2 or 4
   workers produces bitwise-identical results (messages are ordered by
   the canonical ``(arrival, src_shard, seq)`` key, never by wall-clock
@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.simulation.multihop import MultiHopNetwork, PortConfig
-from repro.simulation.network import PACKET_ENGINES
 from repro.topology.graphs import fat_tree
 from repro.workloads import incast, permutation
 
@@ -74,10 +73,9 @@ def assert_bitwise_equal(a, b):
 
 
 class TestOneShardIsSerialBitwise:
-    @pytest.mark.parametrize("engine", PACKET_ENGINES)
-    def test_plain_run(self, engine):
-        serial = _run(engine=engine)
-        sharded = _run(engine=engine, shards=1)
+    def test_plain_run(self):
+        serial = _run()
+        sharded = _run(shards=1)
         assert_bitwise_equal(serial, sharded)
 
     def test_congested_run(self):
@@ -97,11 +95,10 @@ class TestWorkerLayoutIsInvisible:
         assert_bitwise_equal(runs[0], runs[1])
         assert_bitwise_equal(runs[0], runs[2])
 
-    def test_pool_path_matches_inline_on_every_engine(self):
-        for engine in PACKET_ENGINES:
-            inline = _run(engine=engine, shards=4, workers=1)
-            pooled = _run(engine=engine, shards=4, workers=2)
-            assert_bitwise_equal(inline, pooled)
+    def test_pool_path_matches_inline(self):
+        inline = _run(shards=4, workers=1)
+        pooled = _run(shards=4, workers=2)
+        assert_bitwise_equal(inline, pooled)
 
 
 class TestMultiShardTracksSerial:
@@ -114,7 +111,7 @@ class TestMultiShardTracksSerial:
         assert total_serial > 0
         # cutting the fabric only reorders same-timestamp events
         assert total_sharded == pytest.approx(total_serial, rel=0.05)
-        # the sampling grid is plan-fixed, not engine-fixed
+        # the sampling grid is plan-fixed, not shard-fixed
         np.testing.assert_array_equal(serial.port_queue_times,
                                       sharded.port_queue_times)
         assert set(serial.port_queues) == set(sharded.port_queues)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.simulation.engine import Simulator
 from repro.simulation.frames import EthernetFrame
+from repro.simulation.network import _Pacing
 from repro.simulation.source import RateRegulator, TrafficSource
 from repro.simulation.switch import BatchedSwitchKernel, CoreSwitch
 
@@ -204,57 +205,68 @@ class TestPauseTruncation:
 
 
 class TestFrameTrainPlanning:
-    def _source(self, rate=1e8, **kw):
+    """The batched engine's per-source pacing ops (``_Pacing``): plan a
+    window's trains, merge them, and commit the processed prefix."""
+
+    def _pacing(self, rate=1e8, **kw):
         sim = Simulator()
         reg = RateRegulator(gi=4.0, gd=1 / 128, ru=8e6, initial_rate=rate,
                             min_rate=1e6, line_rate=1e9)
-        return TrafficSource(sim, address=0, regulator=reg,
-                             send=lambda f: None, frame_bits=FRAME, **kw)
+        src = TrafficSource(sim, address=0, regulator=reg,
+                            send=lambda f: None, frame_bits=FRAME, **kw)
+        return _Pacing([src], float(FRAME), "cp")
+
+    @staticmethod
+    def _train(pacing, until):
+        times, _, _ = pacing.merge(pacing.plan(until), 0.0)
+        return times.copy()
 
     def test_plan_is_arithmetic_from_one_gap(self):
-        src = self._source(rate=1.2e8)  # gap = 1e-4 s
+        pacing = self._pacing(rate=1.2e8)  # gap = 1e-4 s
         gap = FRAME / 1.2e8
-        train = src.plan_train(until=10.5 * gap)
+        train = self._train(pacing, until=10.5 * gap)
         np.testing.assert_allclose(train, gap * np.arange(1, 11), rtol=1e-12)
 
     def test_commit_full_then_continue(self):
-        src = self._source(rate=1.2e8)
+        pacing = self._pacing(rate=1.2e8)
         gap = FRAME / 1.2e8
-        train = src.plan_train(until=5.5 * gap)
-        src.commit_train(train, len(train))
-        assert src.frames_sent == 5
-        assert src.bits_sent == 5 * FRAME
-        nxt = src.plan_train(until=8.5 * gap)
+        train = self._train(pacing, until=5.5 * gap)
+        pacing.commit(len(train))
+        assert pacing.frames_acc[0] == 5
+        nxt = self._train(pacing, until=8.5 * gap)
         assert nxt[0] == pytest.approx(train[-1] + gap)
 
     def test_commit_partial_resumes_at_cut(self):
-        src = self._source(rate=1.2e8)
+        pacing = self._pacing(rate=1.2e8)
         gap = FRAME / 1.2e8
-        train = src.plan_train(until=9.5 * gap)
-        src.commit_train(train, 3)
-        assert src.frames_sent == 3
-        nxt = src.plan_train(until=9.5 * gap)
+        train = self._train(pacing, until=9.5 * gap)
+        pacing.commit(3)
+        assert pacing.frames_acc[0] == 3
+        nxt = self._train(pacing, until=9.5 * gap)
         assert nxt[0] == pytest.approx(train[2] + gap)
 
     def test_commit_none_keeps_first_pending(self):
-        src = self._source(rate=1.2e8)
-        train = src.plan_train(until=4.5 * FRAME / 1.2e8)
-        src.commit_train(train, 0)
-        again = src.plan_train(until=4.5 * FRAME / 1.2e8)
-        assert again[0] == pytest.approx(train[0])
+        pacing = self._pacing(rate=1.2e8)
+        train = self._train(pacing, until=4.5 * FRAME / 1.2e8)
+        pacing.commit(0)
+        again = self._train(pacing, until=4.5 * FRAME / 1.2e8)
+        assert again[0] == train[0]
 
     def test_finite_flow_truncates_train(self):
-        src = self._source(rate=1.2e8, total_bits=3 * FRAME)
-        train = src.plan_train(until=1.0)
+        pacing = self._pacing(rate=1.2e8, total_bits=3 * FRAME)
+        train = self._train(pacing, until=1.0)
         assert len(train) == 3
+        assert pacing.commit(3) == 1  # the flow finished...
+        assert pacing.fin_t[0] == train[-1]  # ...at its last emission
+        assert self._train(pacing, until=2.0).size == 0
 
     def test_muted_source_plans_nothing(self):
-        src = self._source()
-        src.muted = True
-        assert src.plan_train(until=1.0).size == 0
+        pacing = self._pacing()
+        pacing.active[0] = False  # a departed (muted) source
+        assert self._train(pacing, until=1.0).size == 0
 
     def test_pause_defers_first_emission(self):
-        src = self._source(rate=1.2e8)
-        src.paused_until = 0.01
-        train = src.plan_train(until=0.02)
-        assert train[0] >= 0.01
+        pacing = self._pacing(rate=1.2e8)
+        pacing.paused[0] = 0.01
+        train = self._train(pacing, until=0.02)
+        assert train[0] == 0.01

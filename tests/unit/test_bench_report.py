@@ -34,7 +34,8 @@ class TestSpeedupPairing:
     def test_pairs_batch_against_reference(self):
         report = build_report(_raw(
             _bench("a", 1.0, workload="w", engine="batch"),
-            _bench("b", 5.0, workload="w", engine="reference"),
+            _bench("b", 5.0, workload="w", engine="reference",
+                   baseline=True),
         ))
         assert report["speedups"]["w"]["speedup"] == 5.0
         assert report["speedups"]["w"]["fast_engine"] == "batch"
@@ -42,7 +43,8 @@ class TestSpeedupPairing:
     def test_pairs_batched_against_reference(self):
         report = build_report(_raw(
             _bench("a", 0.5, workload="p", engine="batched"),
-            _bench("b", 4.0, workload="p", engine="reference"),
+            _bench("b", 4.0, workload="p", engine="reference",
+                   baseline=True),
         ))
         assert report["speedups"]["p"]["speedup"] == 8.0
         assert report["speedups"]["p"]["fast_engine"] == "batched"
@@ -56,6 +58,24 @@ class TestSpeedupPairing:
         ))
         assert report["speedups"] == {}
         assert set(report["kernels"]) == {"a", "b"}
+
+    def test_one_engine_against_its_own_baseline_tier(self):
+        report = build_report(_raw(
+            _bench("c", 1.0, workload="k", engine="batched",
+                   kernel_backend="cffi"),
+            _bench("n", 3.0, workload="k", engine="batched",
+                   kernel_backend="numpy", baseline=True),
+        ))
+        row = report["speedups"]["k"]
+        assert (row["fast"], row["baseline"]) == ("c", "n")
+        assert row["speedup"] == 3.0
+
+    def test_reference_label_alone_is_not_a_baseline(self):
+        report = build_report(_raw(
+            _bench("a", 1.0, workload="w", engine="batch"),
+            _bench("b", 5.0, workload="w", engine="reference"),
+        ))
+        assert report["speedups"] == {}
 
 
 class TestThroughputFigures:
@@ -106,11 +126,13 @@ class TestMerging:
     def test_merges_kernels_from_multiple_raws(self):
         fluid = _raw(_bench("fluid_batch", 1.0, workload="f", engine="batch"),
                      _bench("fluid_ref", 5.0, workload="f",
-                            engine="reference"))
+                            engine="reference",
+                   baseline=True))
         packet = _raw(_bench("pkt_batched", 0.3, workload="p",
                              engine="batched"),
                       _bench("pkt_ref", 2.4, workload="p",
-                             engine="reference"))
+                             engine="reference",
+                   baseline=True))
         report = build_report([fluid, packet])
         assert set(report["kernels"]) == {
             "fluid_batch", "fluid_ref", "pkt_batched", "pkt_ref",
@@ -119,7 +141,8 @@ class TestMerging:
 
     def test_duplicates_keep_first_occurrence(self, capsys):
         first = _raw(_bench("k", 1.0, workload="w", engine="batch"),
-                     _bench("r", 9.0, workload="w", engine="reference"))
+                     _bench("r", 9.0, workload="w", engine="reference",
+                   baseline=True))
         second = _raw(_bench("k", 100.0, workload="w", engine="batch"))
         report = build_report([first, second])
         assert report["kernels"]["k"]["mean_s"] == 1.0
@@ -142,7 +165,8 @@ class TestValidate:
         return build_report(_raw(
             _bench("a", 1.0, workload="w", engine="batch",
                    event_counts={"bcn": 3}),
-            _bench("b", 5.0, workload="w", engine="reference"),
+            _bench("b", 5.0, workload="w", engine="reference",
+                   baseline=True),
             _bench("c", 1.0, workload="w",
                    obs_overhead={"baseline_s": 1.0, "obs_enabled_s": 1.2}),
         ))
@@ -179,6 +203,23 @@ class TestValidate:
         assert any("unknown event kind 'not_a_kind'" in p
                    for p in problems)
 
+    def test_paired_kernels_are_checked(self):
+        doc = self._report()
+        doc["kernels"]["b"]["extra_info"]["baseline"] = False
+        problems = validate_report(doc)
+        assert any("'b' lacks extra_info.baseline" in p for p in problems)
+
+        doc = self._report()
+        doc["speedups"]["w"]["fast"] = "gone"
+        problems = validate_report(doc)
+        assert any("'gone' names no kernel entry" in p for p in problems)
+
+        doc = self._report()
+        doc["kernels"]["a"]["mean_s"] = 2.0
+        problems = validate_report(doc)
+        assert any("batch_s differs from kernels['a'].mean_s" in p
+                   for p in problems)
+
     def test_overhead_drift_is_flagged(self):
         doc = self._report()
         doc["overheads"]["w"]["obs_enabled_overhead"] = 0.0
@@ -190,7 +231,8 @@ class TestValidate:
         doc = self._report()
         for entry in doc["kernels"].values():
             entry["min_s"] = None
-        del doc["speedups"]["w"]["fast_engine"]
+        for key in ("fast_engine", "fast", "baseline"):
+            del doc["speedups"]["w"][key]
         del doc["events"]
         del doc["overheads"]
         assert validate_report(doc) == []

@@ -1,5 +1,9 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -96,17 +100,71 @@ class TestSubmitHelp:
         assert job_key(request)
 
 
-def test_compiled_fallback_warning_names_the_missing_toolchain(
-        monkeypatch, capsys):
-    from repro import cli
-    from repro.kernels import reset_backend
+REPO = Path(__file__).resolve().parents[2]
+_SHELL_OPERATORS = {"|", "||", "&&", ";", "&", ">", ">>", "2>", "2>&1"}
 
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-    reset_backend()
-    try:
-        assert cli._resolve_packet_engine("compiled") == "batched"
-    finally:
-        monkeypatch.undo()
-        reset_backend()
-    err = capsys.readouterr().err
-    assert "no C compiler or cffi was found" in err
+
+def _shell_lines(text):
+    """Token lists of the shell commands in ``text`` (backslash
+    continuations joined, quoted arguments allowed to span lines)."""
+    pending = ""
+    for line in text.replace("\\\n", " ").splitlines():
+        pending = f"{pending}\n{line}" if pending else line
+        try:
+            tokens = shlex.split(pending, comments=True)
+        except ValueError:  # a quoted argument continues on the next line
+            continue
+        pending = ""
+        yield tokens
+
+
+def _repro_argv(tokens):
+    """The argv after ``python -m repro`` in one command, or None."""
+    for i, token in enumerate(tokens):
+        if token in ("python", "python3") and tokens[i + 1:i + 3] == [
+                "-m", "repro"]:
+            argv = []
+            for arg in tokens[i + 3:]:
+                if arg in _SHELL_OPERATORS:
+                    break
+                argv.append(arg)
+            return argv
+    return None
+
+
+def _documented_commands():
+    from repro import cli
+
+    sources = {"repro.cli": [cli.__doc__]}
+    for name in ("EXPERIMENTS.md", "README.md"):
+        text = (REPO / name).read_text()
+        sources[name] = re.findall(r"^```[^\n]*\n(.*?)^```", text,
+                                   flags=re.M | re.S)
+    found = {}
+    for origin, texts in sources.items():
+        commands = [argv for text in texts for tokens in _shell_lines(text)
+                    if (argv := _repro_argv(tokens)) is not None]
+        found[origin] = commands
+    return found
+
+
+DOCUMENTED = _documented_commands()
+
+
+def test_every_doc_source_names_cli_commands():
+    assert all(DOCUMENTED.values()), {k: len(v) for k, v in
+                                      DOCUMENTED.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=f"{origin}:{i}:{argv[0] if argv else ''}")
+    for origin, commands in DOCUMENTED.items()
+    for i, argv in enumerate(commands)
+])
+def test_documented_command_parses(argv):
+    """Every ``python -m repro ...`` command in the CLI docstring and
+    the fenced blocks of the docs is accepted by the parser (not run)."""
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args(argv)
+    assert callable(args.func)

@@ -1,14 +1,11 @@
 """Unit tests for the compiled kernel package (:mod:`repro.kernels`).
 
 Backend selection, the differential guarantees of the individual
-kernels against their pure-python reference bodies, the calendar
-queue's event order, the fluid precision modes, and the one-time
-warm-up span.  Tests marked ``requires_compiled`` exercise the compiled
-(cffi) tier and skip on the pure-numpy fallback; everything else runs
-on every tier.
+kernels against their pure-python reference bodies, the batch fluid
+integrator's two tiers, and the one-time warm-up span.  Tests marked
+``requires_compiled`` exercise the compiled (cffi) tier and skip on the
+pure-numpy fallback; everything else runs on every tier.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -16,7 +13,6 @@ import pytest
 from repro.kernels import (get_backend, reset_backend,
                            simulate_fluid_batch_compiled)
 from repro.kernels._backend import KernelBackend, consume_warmup_span
-from repro.simulation.engine import CalendarSimulator, make_simulator
 from repro.simulation.frames import BCNMessage
 from repro.simulation.source import RateRegulator
 
@@ -366,12 +362,12 @@ def _fluid_case():
 
 @requires_compiled
 @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
-def test_fluid_compiled_is_bitwise_equal_to_numpy(mode):
+def test_fluid_compiled_is_bitwise_equal_to_numpy(mode, numpy_tier):
     from repro.fluid.batch import simulate_fluid_batch
 
     p, x0 = _fluid_case()
-    ref = simulate_fluid_batch(p, x0, 0.0, t_max=20.0, mode=mode,
-                               fluid_method="numpy")
+    with numpy_tier():
+        ref = simulate_fluid_batch(p, x0, 0.0, t_max=20.0, mode=mode)
     com = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=20.0, mode=mode)
     np.testing.assert_array_equal(com.t, ref.t)
     np.testing.assert_array_equal(com.x, ref.x)
@@ -385,12 +381,12 @@ def test_fluid_compiled_is_bitwise_equal_to_numpy(mode):
 
 
 @requires_compiled
-def test_fluid_compiled_physical_mode_within_libm_tolerance():
+def test_fluid_compiled_physical_mode_within_libm_tolerance(numpy_tier):
     from repro.fluid.batch import simulate_fluid_batch
 
     p, x0 = _fluid_case()
-    ref = simulate_fluid_batch(p, x0, 0.0, t_max=20.0, mode="physical",
-                               fluid_method="numpy")
+    with numpy_tier():
+        ref = simulate_fluid_batch(p, x0, 0.0, t_max=20.0, mode="physical")
     com = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=20.0,
                                         mode="physical")
     scale = max(p.q0, p.capacity * 1e-3)
@@ -399,119 +395,35 @@ def test_fluid_compiled_physical_mode_within_libm_tolerance():
 
 
 @requires_compiled
-def test_fluid_float32_tracks_float64_within_tolerance():
+def test_simulate_fluid_batch_runs_the_compiled_tier_when_present(
+        numpy_tier):
+    """The platform picks the fluid tier: with a compiled backend the
+    public entry point is the kernel (same arrays, same obs stream under
+    the one ``fluid.batch`` engine tag as the numpy loop)."""
+    from repro.fluid.batch import simulate_fluid_batch
+    from repro.obs import Observability
+
     p, x0 = _fluid_case()
-    f64 = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=20.0,
-                                        mode="nonlinear")
-    f32 = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=20.0,
-                                        mode="nonlinear",
-                                        precision="float32")
-    assert f32.x.dtype == np.float32
-    assert f32.y.dtype == np.float32
-    assert f32.t.dtype == np.float64  # the grid stays exact
-    # per-sample error stays ~1e-7 of the natural scales; allow 1e-4
-    scale = max(p.q0, float(np.max(np.abs(f64.x))))
-    assert np.max(np.abs(f32.x.astype(np.float64) - f64.x)) <= 1e-4 * scale
-    # event *times* remain float64 and close to the double-precision ones
-    for evs64, evs32 in zip(f64.events, f32.events):
-        assert len(evs64) == len(evs32)
+    obs_np, obs_c = Observability(), Observability()
+    with numpy_tier():
+        ref = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, obs=obs_np)
+    out = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, obs=obs_c)
+    kernel = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=5.0)
+    np.testing.assert_array_equal(out.x, ref.x)
+    np.testing.assert_array_equal(out.x, kernel.x)
+    assert out.events == ref.events
+
+    assert obs_c.trace.records == obs_np.trace.records
+    assert {r.engine for r in obs_c.trace.records} == {"fluid.batch"}
+    assert obs_c.metrics.snapshot() == obs_np.metrics.snapshot()
 
 
-def test_fluid_method_seam_accepts_compiled_and_auto():
+def test_fluid_without_a_compiled_backend_runs_numpy(numpy_tier):
     from repro.fluid.batch import simulate_fluid_batch
 
     p, x0 = _fluid_case()
-    ref = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, mode="nonlinear",
-                               fluid_method="numpy")
-    for method in ("compiled", "auto"):
-        out = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, mode="nonlinear",
-                                   fluid_method=method)
-        np.testing.assert_array_equal(out.x, ref.x)
-        np.testing.assert_array_equal(out.y, ref.y)
-    with pytest.raises(ValueError):
-        simulate_fluid_batch(p, x0, 0.0, t_max=5.0, fluid_method="???")
-    with pytest.raises(ValueError):
-        simulate_fluid_batch(p, x0, 0.0, t_max=5.0, precision="float16")
-
-
-def test_fluid_numpy_fallback_casts_float32():
-    from repro.fluid.batch import simulate_fluid_batch
-
-    p, x0 = _fluid_case()
-    out = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, mode="nonlinear",
-                               fluid_method="numpy", precision="float32")
-    assert out.x.dtype == np.float32
-
-
-# -- calendar queue ---------------------------------------------------------
-
-
-def _drain_order(sim, times):
-    seen = []
-    for j, t in enumerate(times.tolist()):
-        sim.schedule_at(t, lambda j=j, sim=sim: seen.append((sim.now, j)))
-    sim.run(until=float(times.max()) + 1.0)
-    return seen
-
-
-# Both compiled-engine calendars: the one MultiHopNetwork and the shard
-# runtime build for engine="compiled" (one frame time per slot, 4096
-# slots), and make_simulator's calendar sized from a quantum hint.
-@pytest.mark.parametrize("calendar_kw", [
-    pytest.param({"slot_width": 12000 / 10e9, "n_slots": 4096},
-                 id="compiled"),
-    pytest.param({"quantum_hint": 1e-4}, id="compiled-calendar"),
-])
-def test_compiled_calendar_matches_heap_order(calendar_kw):
-    rng = np.random.default_rng(11)
-    times = rng.uniform(0.0, 5e-3, 400)
-    heap = _drain_order(make_simulator("heap"), times)
-    cal = _drain_order(make_simulator("calendar", **calendar_kw), times)
-    assert cal == heap
-
-
-def test_calendar_rolls_horizon_like_heap():
-    rng = np.random.default_rng(13)
-    # spread far beyond one horizon so the overflow heap drains
-    times = rng.uniform(0.0, 0.5, 300)
-    heap = _drain_order(make_simulator("heap"), times)
-    cal = _drain_order(make_simulator("calendar", slot_width=1e-4,
-                                      n_slots=64), times)
-    assert cal == heap
-
-
-def test_calendar_slot_width_auto_derived_from_quantum_hint():
-    assert CalendarSimulator(quantum_hint=6.4e-3)._slot_width == \
-        pytest.approx(6.4e-3 / 64)
-    # no hint: the legacy default
-    assert CalendarSimulator()._slot_width == 1e-6
-    # explicit width always wins
-    assert CalendarSimulator(slot_width=2e-6,
-                             quantum_hint=1.0)._slot_width == 2e-6
-    # degenerate hints fall back instead of exploding
-    assert CalendarSimulator(quantum_hint=0.0)._slot_width == 1e-6
-    assert CalendarSimulator(quantum_hint=math.inf)._slot_width == 1e-6
-    with pytest.raises(ValueError):
-        CalendarSimulator(slot_width=0.0)
-
-
-def test_calendar_degenerate_single_slot_schedule_stays_ordered():
-    """Regression: with the legacy fixed width, a sub-microsecond event
-    cluster lands entirely in bucket 0 and must still drain in exact
-    (time, seq) order; the quantum hint spreads the same cluster over
-    many buckets."""
-    rng = np.random.default_rng(17)
-    times = rng.uniform(0.0, 9e-7, 200)
-    heap = _drain_order(make_simulator("heap"), times)
-    legacy = _drain_order(CalendarSimulator(), times.copy())
-    assert legacy == heap
-
-    hinted = CalendarSimulator(quantum_hint=1e-6)
-    for j, t in enumerate(times.tolist()):
-        hinted.schedule_at(t, lambda: None)
-    occupied = sum(1 for bucket in hinted._slots if bucket)
-    assert occupied > 10  # the hint actually spreads the cluster
-    legacy_sim = CalendarSimulator()
-    for t in times.tolist():
-        legacy_sim.schedule_at(t, lambda: None)
-    assert sum(1 for b in legacy_sim._slots if b) == 1  # the degeneracy
+    with numpy_tier():
+        out = simulate_fluid_batch(p, x0, 0.0, t_max=5.0)
+        direct = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=5.0)
+    assert out.x.dtype == np.float64
+    np.testing.assert_array_equal(out.x, direct.x)

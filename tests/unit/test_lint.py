@@ -253,8 +253,8 @@ def test_engine_seam_literals_and_dispatch(tmp_path):
             engine = "packet.referense"
             return engine
 
-        def defaults(engine="compiled", fluid_method="numpyy"):
-            return run(fluid_method="auto")
+        def defaults(engine="compiled", fluid_engine="bach"):
+            return run(fluid_engine="batch")
         """}))
     findings = run_lint([pkg / "sim" / "run.py"], select=["engine-seam"],
                         repro_root=pkg)
@@ -262,7 +262,7 @@ def test_engine_seam_literals_and_dispatch(tmp_path):
                  if "not a registered" in f.message)
     assert (2, "referense") in got          # comparison literal
     assert (20, "packet.referense") in got  # bad obs tag assignment
-    assert (23, "numpyy") in got            # bad seam default
+    assert (23, "bach") in got              # bad seam default
     dispatch = [f for f in findings if "dispatch covers" in f.message]
     assert [f.line for f in dispatch] == [5]
     assert "compiled" in dispatch[0].message
@@ -277,10 +277,11 @@ def test_seam_registry_tracks_runtime_packet_engines():
     assert registries["engine"] == frozenset(PACKET_ENGINES)
     accepted = accepted_literals(registries)
     assert "packet.reference" in accepted["engine"]
-    assert "fluid.compiled" in accepted["engine"]
+    assert "fluid.batch" in accepted["engine"]
+    assert "fluid.compiled" not in accepted["engine"]
     assert "" in accepted["engine"]
     assert "packet.referense" not in accepted["engine"]
-    assert accepted["fluid_method"] == registries["fluid_method"]
+    assert accepted["fluid_engine"] == registries["fluid_engine"]
 
 
 def test_seam_registry_tracks_runtime_job_kinds():

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.parameters import BCNParams
 from repro.simulation.multihop import MultiHopNetwork, PortConfig
-from repro.simulation.network import BCNNetworkSimulator
+from repro.simulation.network import (PACKET_ENGINES, BCNNetworkSimulator,
+                                      resolve_engine)
 from repro.topology.graphs import dumbbell, fat_tree
 from repro.workloads.flows import FlowSpec
 from repro.workloads.generators import homogeneous, incast
@@ -64,6 +65,29 @@ class TestDumbbell:
     def test_regulator_mode_plumbed(self):
         net = BCNNetworkSimulator(small_params(), regulator_mode="fluid-exact")
         assert all(s.regulator.mode == "fluid-exact" for s in net.sources)
+
+
+class TestEngineNames:
+    def test_registered_names_resolve_to_themselves(self):
+        assert [resolve_engine(e) for e in PACKET_ENGINES] == list(
+            PACKET_ENGINES)
+
+    def test_compiled_is_a_synonym_of_batched(self):
+        assert resolve_engine("compiled") == "batched"
+        net = BCNNetworkSimulator(small_params(), frame_bits=8000,
+                                  engine="compiled")
+        assert net.engine == "batched"
+        syn = net.run(0.02)
+        bat = BCNNetworkSimulator(small_params(), frame_bits=8000,
+                                  engine="batched").run(0.02)
+        np.testing.assert_array_equal(syn.queue, bat.queue)
+        assert syn.delivered_bits == bat.delivered_bits
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown packet engine"):
+            resolve_engine("calendar")
+        with pytest.raises(ValueError, match="unknown packet engine"):
+            BCNNetworkSimulator(small_params(), engine="referense")
 
 
 class TestMultiHop:

@@ -210,6 +210,8 @@ class TestSweep:
         point = ScenarioPoint(preset="dc-baseline")
         with pytest.raises(ValueError):
             point.with_(engine="quantum")
+        # a synonym folds onto the engine it names (one cache identity)
+        assert point.with_(engine="compiled").engine == "batched"
 
     def test_evaluate_record_shape(self):
         record = evaluate_scenario_point(

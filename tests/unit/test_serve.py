@@ -166,6 +166,16 @@ class TestNormalize:
         b = normalize_request({**SCENARIO, "engine": "reference"})
         assert a.key() == b.key()
 
+    def test_engine_synonym_folds_onto_its_engine(self):
+        a = normalize_request({**SCENARIO, "engine": "compiled"})
+        b = normalize_request({**SCENARIO, "engine": "batched"})
+        assert a.spec["engine"] == "batched"
+        assert a.key() == b.key()
+
+    def test_unhashable_engine_is_a_job_error(self):
+        with pytest.raises(JobError, match="unknown packet engine"):
+            normalize_request({**SCENARIO, "engine": ["batched"]})
+
     def test_field_order_irrelevant(self):
         a = normalize_request(
             {"seed": 2, "preset": "dc-baseline", "kind": "scenario"})

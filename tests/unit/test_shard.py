@@ -21,7 +21,7 @@ from repro.workloads.flows import FlowSpec
 DELAY = 1e-6
 CONFIG_KW = dict(
     frame_bits=12_000, delay=DELAY, hop_level_pause=True,
-    engine="reference", queue_dt=1e-5,
+    queue_dt=1e-5,
 )
 
 

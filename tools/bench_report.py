@@ -23,14 +23,18 @@ keeps what the perf trajectory needs:
   ``extra_info["simulated_seconds"]`` (packet-level runs), the
   throughput figures **ns per integrated trajectory-second** / **ns per
   simulated second**;
-* per-workload speedups, pairing the fast engine (``engine="batch"``
-  for the fluid kernel, ``engine="batched"`` for the packet engine,
-  ``engine="compiled"`` for the compiled kernel backend,
-  ``engine="warm"`` for the job server's cached path)
-  against ``engine="reference"`` rows that share
-  ``extra_info["workload"]``.  Rows with other engine tags (e.g. the
-  ``heap``/``calendar`` event-kernel microbenches) are reported but
-  never gated;
+* per-workload speedups, pairing the fast row (``engine="batch"`` for
+  the fluid kernel, ``engine="batched"`` for the packet engine,
+  ``engine="sharded"`` for the fabric, ``engine="warm"`` for the job
+  server's cached path) against the row of the same
+  ``extra_info["workload"]`` tagged ``extra_info["baseline"] = True``.
+  The baseline is named explicitly rather than inferred from an engine
+  label, because one engine can be its own baseline (the batched
+  engine's compiled kernel tier against its numpy tier, told apart by
+  ``extra_info["kernel_backend"]``).  Each speedup records the kernel
+  names it paired (``fast``/``baseline``).  Workloads without a
+  baseline row, or whose other rows carry no fast engine tag, are
+  reported but never gated;
 * per-workload **event counts** for benchmarks that tag
   ``extra_info["event_counts"]`` (the observability layer's per-kind
   totals), so BENCH JSONs record what the run *did*, not just how fast;
@@ -58,8 +62,10 @@ engine tags, derived-figure consistency, event kinds against
 
 This is the CI guard against hand-edited or stale reports: a committed
 report whose ``speedup`` no longer matches ``reference_s / batch_s``,
-or that records an unknown engine tag or event kind, fails the lint
-job rather than silently mis-documenting the perf trajectory.
+whose paired kernels are missing, untagged as the baseline or disagree
+with the recorded wall times, or that records an unknown engine tag or
+event kind, fails the lint job rather than silently mis-documenting the
+perf trajectory.
 """
 
 from __future__ import annotations
@@ -71,10 +77,10 @@ from pathlib import Path
 
 __all__ = ["build_report", "main"]
 
-#: engine tags paired against "reference" for the speedup/gate section
-#: (listed fastest-first: when a workload carries several fast rows the
-#: earliest present tag is the one gated)
-_FAST_ENGINES = ("sharded", "compiled", "batch", "batched", "warm")
+#: engine tags paired against the baseline row for the speedup/gate
+#: section (listed fastest-first: when a workload carries several fast
+#: rows the earliest present tag is the one gated)
+_FAST_ENGINES = ("sharded", "batch", "batched", "warm")
 
 
 def _kernel_entry(bench: dict) -> dict:
@@ -96,12 +102,26 @@ def _kernel_entry(bench: dict) -> dict:
     return entry
 
 
+def _pair(rows: list[tuple[str, dict]]):
+    """``((fast_name, fast), (baseline_name, baseline))`` for one
+    workload's rows, or None when it has no baseline or no fast row."""
+    baselines = [row for row in rows if row[1]["extra_info"].get("baseline")]
+    if not baselines:
+        return None
+    others = [row for row in rows if row is not baselines[0]]
+    for engine in _FAST_ENGINES:
+        for row in others:
+            if row[1]["extra_info"]["engine"] == engine:
+                return row, baselines[0]
+    return None
+
+
 def build_report(raws: dict | list[dict]) -> dict:
     """Build the condensed report from one or more benchmark dumps."""
     if isinstance(raws, dict):
         raws = [raws]
     kernels = {}
-    by_workload: dict[str, dict[str, dict]] = {}
+    by_workload: dict[str, list[tuple[str, dict]]] = {}
     overheads: dict[str, dict[str, float]] = {}
     events: dict[str, dict[str, dict]] = {}
     for raw in raws:
@@ -116,7 +136,7 @@ def build_report(raws: dict | list[dict]) -> dict:
             extra = entry["extra_info"]
             workload, engine = extra.get("workload"), extra.get("engine")
             if workload and engine:
-                by_workload.setdefault(workload, {})[engine] = entry
+                by_workload.setdefault(workload, []).append((name, entry))
             counts = extra.get("event_counts")
             if workload and counts:
                 events.setdefault(workload, {})[engine or "-"] = counts
@@ -132,16 +152,17 @@ def build_report(raws: dict | list[dict]) -> dict:
                 overheads[workload] = row
 
     speedups = {}
-    for workload, engines in sorted(by_workload.items()):
-        fast_key = next((k for k in _FAST_ENGINES if k in engines), None)
-        if fast_key and "reference" in engines:
-            fast_s = engines[fast_key]["mean_s"]
-            reference_s = engines["reference"]["mean_s"]
+    for workload, rows in sorted(by_workload.items()):
+        pair = _pair(rows)
+        if pair is not None:
+            (fast_name, fast), (base_name, base) = pair
             speedups[workload] = {
-                "batch_s": fast_s,
-                "fast_engine": fast_key,
-                "reference_s": reference_s,
-                "speedup": reference_s / fast_s,
+                "batch_s": fast["mean_s"],
+                "fast_engine": fast["extra_info"]["engine"],
+                "fast": fast_name,
+                "baseline": base_name,
+                "reference_s": base["mean_s"],
+                "speedup": base["mean_s"] / fast["mean_s"],
             }
 
     first = raws[0] if raws else {}
@@ -263,6 +284,29 @@ def validate_report(doc: object, label: str = "report") -> list[str]:
             err(f"speedups[{workload!r}].speedup {row['speedup']:.6g} "
                 f"drifted from reference_s/batch_s = "
                 f"{reference_s / batch_s:.6g}; regenerate the report")
+        # Reports predating the explicit pairing carry no kernel names.
+        if "baseline" in row or "fast" in row:
+            for role, wall_key, want_baseline in (
+                    ("baseline", "reference_s", True),
+                    ("fast", "batch_s", False)):
+                entry = kernels.get(row.get(role))
+                if not isinstance(entry, dict):
+                    err(f"speedups[{workload!r}].{role} "
+                        f"{row.get(role)!r} names no kernel entry")
+                    continue
+                extra = entry.get("extra_info", {})
+                if extra.get("workload") != workload:
+                    err(f"speedups[{workload!r}].{role} "
+                        f"{row[role]!r} belongs to workload "
+                        f"{extra.get('workload')!r}")
+                if bool(extra.get("baseline")) != want_baseline:
+                    err(f"speedups[{workload!r}].{role} {row[role]!r} "
+                        f"{'lacks' if want_baseline else 'carries'} "
+                        "extra_info.baseline")
+                if _drifted(row[wall_key], entry.get("mean_s", 0.0)):
+                    err(f"speedups[{workload!r}].{wall_key} differs from "
+                        f"kernels[{row[role]!r}].mean_s; regenerate the "
+                        "report")
 
     events = doc.get("events", {})
     kinds = _event_kinds()
@@ -369,8 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         if row["speedup"] < args.min_speedup:
             verdict = f"REGRESSION (< {args.min_speedup:g}x)"
             failed = True
-        print(f"{workload}: {row['fast_engine']} {row['batch_s']:.4f}s vs "
-              f"reference {row['reference_s']:.4f}s -> "
+        print(f"{workload}: {row['fast']} {row['batch_s']:.4f}s vs "
+              f"baseline {row['baseline']} {row['reference_s']:.4f}s -> "
               f"{row['speedup']:.2f}x {verdict}")
     if not report["speedups"]:
         print("warning: no fast/reference workload pairs found",
