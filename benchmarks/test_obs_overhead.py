@@ -24,16 +24,25 @@ baseline by more than the given fraction.  The committed
 is looser to absorb residual noise.
 
 Each test also tags ``extra_info["event_counts"]`` from an enabled run
-so the report records what the workload did.
+so the report records what the workload did, and its ``engine`` and
+``kernel_backend`` so the report says which code was timed.
+
+The guard (:func:`test_obs_disabled_overhead_guard`) runs on both packet
+engines.  The reference engine pays its ``obs is not None`` checks per
+frame, so its workload runs a simulated horizon long enough (about half
+a second of wall time per variant on a 2-core VM) for the interleaved
+minimums to resolve a few percent.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.parameters import paper_example_params
 from repro.experiments.presets import CASE1_SLOW
 from repro.fluid.batch import simulate_fluid_batch
+from repro.kernels import get_backend
 from repro.obs import Observability
 from repro.simulation.network import BCNNetworkSimulator
 
@@ -46,6 +55,13 @@ MAX_SWITCHES = 12
 
 # dumbbell_message_mode workload, exactly as test_batched_packet.py
 MSG_DURATION = 0.03
+
+# dumbbell_reference workload: the same dumbbell on the event-driven
+# reference engine, over a horizon long enough to time per variant;
+# shared vCPUs swing its wall time by tens of percent, so its minimums
+# take more rounds to settle
+REF_DURATION = 0.05
+REF_ROUNDS = 15
 
 
 def _run_bundle(obs=None):
@@ -61,6 +77,13 @@ def _run_message(obs=None):
     net = BCNNetworkSimulator(paper_example_params(), engine="batched",
                               **kwargs)
     return net.run(MSG_DURATION)
+
+
+def _run_reference(obs=None):
+    kwargs = {} if obs is None else {"obs": obs}
+    net = BCNNetworkSimulator(paper_example_params(), engine="reference",
+                              **kwargs)
+    return net.run(REF_DURATION)
 
 
 def _interleaved_mins(run, rounds=ROUNDS):
@@ -80,11 +103,13 @@ def _interleaved_mins(run, rounds=ROUNDS):
     return {f"{name}_s": wall for name, wall in mins.items()}
 
 
-def _tag(benchmark, workload, run, rounds=ROUNDS):
+def _tag(benchmark, workload, engine, run, rounds=ROUNDS):
     obs = Observability()
     run(obs)
     benchmark.extra_info.update(
         workload=workload,
+        engine=engine,
+        kernel_backend=get_backend().name,
         obs_overhead=_interleaved_mins(run, rounds),
         event_counts=obs.event_counts(),
     )
@@ -92,7 +117,7 @@ def _tag(benchmark, workload, run, rounds=ROUNDS):
 
 def test_bench_obs_bundle(benchmark):
     res = benchmark.pedantic(_run_bundle, rounds=3, iterations=1)
-    _tag(benchmark, "portrait_bundle", _run_bundle)
+    _tag(benchmark, "portrait_bundle", "batch", _run_bundle)
     assert res.n_rows == N_ORBITS
     counts = benchmark.extra_info["event_counts"]
     assert counts["region_switch"] > 0
@@ -101,21 +126,36 @@ def test_bench_obs_bundle(benchmark):
 def test_bench_obs_message(benchmark):
     res = benchmark.pedantic(_run_message, rounds=3, iterations=1)
     # the 15 ms workload needs more rounds for its minimums to settle
-    _tag(benchmark, "dumbbell_message_mode", _run_message, rounds=40)
+    _tag(benchmark, "dumbbell_message_mode", "batched", _run_message,
+         rounds=40)
     assert res.bcn_negative > 0
     counts = benchmark.extra_info["event_counts"]
     assert counts["bcn"] == res.bcn_negative + res.bcn_positive
 
 
-def test_obs_disabled_overhead_guard():
+def test_bench_obs_reference(benchmark):
+    res = benchmark.pedantic(_run_reference, rounds=3, iterations=1)
+    _tag(benchmark, "dumbbell_reference", "reference", _run_reference,
+         rounds=REF_ROUNDS)
+    assert res.bcn_negative > 0
+    counts = benchmark.extra_info["event_counts"]
+    assert counts["bcn"] == res.bcn_negative + res.bcn_positive
+
+
+@pytest.mark.parametrize("run, rounds", [
+    pytest.param(_run_reference, REF_ROUNDS, id="reference"),
+    # the ~5 ms batched workload needs more rounds for its minimums
+    pytest.param(_run_message, 40, id="batched"),
+])
+def test_obs_disabled_overhead_guard(run, rounds):
     """Assert the disabled path costs nothing beyond CI noise margin.
 
-    The true disabled-path cost is one ``is not None`` check per run
-    (the handle is stored as ``None`` by every consumer), so the
-    tolerance here is pure noise margin — an accidentally-live
-    collection path costs well over 10% on this workload and trips the
-    guard.
+    The true disabled-path cost is one ``is not None`` check per run on
+    the batched engine and per frame on the reference engine (the
+    handle is stored as ``None`` by every consumer), so the tolerance
+    here is pure noise margin — an accidentally-live collection path
+    costs well over 10% on these workloads and trips the guard.
     """
-    mins = _interleaved_mins(_run_message)
+    mins = _interleaved_mins(run, rounds)
     ratio = mins["obs_disabled_s"] / mins["baseline_s"]
     assert ratio <= 1.10, f"obs-disabled min overhead {ratio - 1:+.1%}"

@@ -5,11 +5,10 @@ a binary heap; ties in time break by insertion order (``seq``), which
 keeps runs reproducible.
 
 Components schedule callbacks with :meth:`Simulator.schedule` (relative
-delay) or :meth:`Simulator.schedule_at` (absolute time) and may cancel
-them via the returned handle.  Cancelled events are skipped lazily when
-popped; when more than half of the pending events are cancelled the
-queue compacts itself so long runs with heavy cancellation (rate
-re-pacing, pause retries) do not leak memory.
+delay) or :meth:`Simulator.schedule_at` (absolute time).  A scheduled
+callback always fires; there is no cancellation.  Plain tuples keep the
+heap's comparisons in C: ``seq`` is unique, so the callback itself is
+never compared.
 
 The kernel knows nothing about networking; switches, sources and links
 (:mod:`repro.simulation`) are plain objects holding a reference to the
@@ -18,39 +17,12 @@ simulator.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
-__all__ = ["Event", "Simulator"]
-
-#: Compact the pending-event store once this fraction of it is cancelled.
-_COMPACT_FRACTION = 0.5
-#: ... but never bother below this many pending events.
-_COMPACT_MIN_PENDING = 64
-
-
-@dataclass(order=True)
-class Event:
-    """A scheduled callback; orderable by ``(time, seq)``."""
-
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: The simulator that owns this event (None for detached events);
-    #: lets ``cancel`` feed the owner's lazy-compaction accounting.
-    owner: "Simulator | None" = field(default=None, compare=False, repr=False)
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.owner is not None:
-            self.owner._note_cancel()
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -60,18 +32,17 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(1.5, lambda: fired.append(sim.now))
+    >>> sim.schedule(1.5, lambda: fired.append(sim.now))
     >>> sim.run()
     >>> fired
     [1.5]
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
-        self._cancelled_pending = 0
         self._freeze_horizon = math.inf
 
     @property
@@ -86,8 +57,7 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (cancelled ones may linger
-        until the next pop or compaction)."""
+        """Number of events still queued."""
         return len(self._heap)
 
     # -- window barrier ----------------------------------------------------
@@ -138,39 +108,21 @@ class Simulator:
             self._freeze_horizon = previous
         return self._processed - before
 
-    # -- cancellation accounting ------------------------------------------
-
-    def _note_cancel(self) -> None:
-        self._cancelled_pending += 1
-        pending = len(self._heap)
-        if (pending > _COMPACT_MIN_PENDING
-                and self._cancelled_pending > _COMPACT_FRACTION * pending):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled events from the heap and re-heapify (in place:
-        :meth:`run` holds the list while callbacks cancel events)."""
-        self._heap[:] = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_pending = 0
-
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0 or not math.isfinite(delay):
             raise ValueError(f"delay must be finite and non-negative, got {delay}")
-        return self.schedule_at(self._now + delay, callback)
+        heappush(self._heap, (self._now + delay, next(self._seq), callback))
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute simulation time ``time``."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self._now}"
             )
-        event = Event(time, next(self._seq), callback, owner=self)
-        heapq.heappush(self._heap, event)
-        return event
+        heappush(self._heap, (time, next(self._seq), callback))
 
     def schedule_every(
         self,
@@ -204,19 +156,16 @@ class Simulator:
         """
         until = min(until, self._freeze_horizon)
         heap = self._heap
+        pop = heappop
         executed = 0
         while heap:
             if max_events is not None and executed >= max_events:
                 break
-            if heap[0].time > until:
+            if heap[0][0] > until:
                 self._now = until
                 return
-            event = heapq.heappop(heap)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._now = event.time
-            event.callback()
+            self._now, _, callback = pop(heap)
+            callback()
             self._processed += 1
             executed += 1
         if math.isfinite(until):
@@ -225,7 +174,6 @@ class Simulator:
     def reset(self) -> None:
         """Clear all pending events and rewind the clock to zero."""
         self._heap.clear()
-        self._cancelled_pending = 0
         self._now = 0.0
         self._processed = 0
         self._freeze_horizon = math.inf

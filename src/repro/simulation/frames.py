@@ -39,7 +39,7 @@ MIN_FRAME_BITS = 64 * 8
 _frame_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class EthernetFrame:
     """A data frame travelling source -> core switch -> sink.
 

@@ -48,7 +48,4 @@ class Link:
             self.delivered += 1
             self.deliver(payload)
 
-        if self.delay == 0.0:
-            self.sim.schedule(0.0, arrive)
-        else:
-            self.sim.schedule(self.delay, arrive)
+        self.sim.schedule(self.delay, arrive)

@@ -194,7 +194,8 @@ class TrafficSource:
 
     def _emit(self) -> None:
         now = self.sim.now
-        if self.finished:
+        total = self.total_bits
+        if total is not None and self.bits_sent >= total:
             return
         if self.muted:
             # OFF period: poll again after one frame gap at current rate.
@@ -215,7 +216,7 @@ class TrafficSource:
         self.send(frame)
         self.frames_sent += 1
         self.bits_sent += self.frame_bits
-        if self.finished:
+        if total is not None and self.bits_sent >= total:
             # Send-side flow completion time (emission of the last
             # frame) — the FCT convention shared with the batched engine.
             self.finish_time = now

@@ -2,8 +2,12 @@
 
 Conservation and ordering invariants that must hold for any workload:
 frames in = frames out + dropped + resident; FIFO order preserved;
-the event engine never runs time backwards; regulators stay in bounds.
+the event engine never runs time backwards and fires callbacks in
+``(time, insertion)`` order however it is driven; regulators stay in
+bounds.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +61,150 @@ def test_engine_time_monotone(delays):
     sim.run()
     assert seen == sorted(seen)
     assert len(seen) == len(delays)
+
+
+# -- kernel contract over random schedules ------------------------------------
+#
+# A schedule is a list of items, installed on a fresh Simulator in order:
+# ``("node", (how, t, children))`` schedules a one-shot callback ``t``
+# seconds from now (``how`` picks ``schedule`` or ``schedule_at``); when
+# it fires it logs itself and schedules its children the same way.
+# ``("every", interval, until)`` installs ``schedule_every``.  Times come
+# from a quarter-second grid so ties are common and the arithmetic is
+# exact.  The expected firing order comes from a linear-scan model, not
+# a heap.
+
+GRID = [0.25 * i for i in range(9)]
+
+
+def _node(depth):
+    children = (st.just(()) if depth == 0
+                else st.lists(_node(depth - 1), max_size=3).map(tuple))
+    return st.tuples(st.sampled_from(("rel", "abs")), st.sampled_from(GRID),
+                     children)
+
+
+schedules = st.lists(
+    st.one_of(
+        st.tuples(st.just("node"), _node(2)),
+        st.tuples(st.just("every"), st.sampled_from(GRID[1:]),
+                  st.sampled_from(GRID)),
+    ),
+    max_size=6,
+)
+
+
+def _install(sim, items, log):
+    def push(node, label):
+        how, t, children = node
+
+        def fire():
+            log.append((label, sim.now))
+            for j, child in enumerate(children):
+                push(child, label + (j,))
+
+        if how == "rel":
+            sim.schedule(t, fire)
+        else:
+            sim.schedule_at(sim.now + t, fire)
+
+    for i, item in enumerate(items):
+        if item[0] == "node":
+            push(item[1], (i,))
+        else:
+            sim.schedule_every(
+                item[1], lambda i=i: log.append(((i,), sim.now)),
+                until=item[2],
+            )
+
+
+def _expected(items):
+    """``(label, time)`` in firing order: repeatedly take the pending
+    entry with the least ``(time, insertion)`` key."""
+    seq = itertools.count()
+    pending = []
+    for i, item in enumerate(items):
+        if item[0] == "node":
+            pending.append((item[1][1], next(seq), (i,), item))
+        else:
+            pending.append((item[1], next(seq), (i,), item))
+    log = []
+    while pending:
+        entry = min(pending, key=lambda e: e[:2])
+        pending.remove(entry)
+        now, _, label, item = entry
+        log.append((label, now))
+        if item[0] == "node":
+            for j, child in enumerate(item[1][2]):
+                pending.append((now + child[1], next(seq), label + (j,),
+                                ("node", child)))
+        elif now + item[1] <= item[2]:
+            pending.append((now + item[1], next(seq), label, item))
+    return log
+
+
+def _loaded(items):
+    sim = Simulator()
+    log = []
+    _install(sim, items, log)
+    return sim, log
+
+
+@given(items=schedules)
+@settings(max_examples=150, deadline=None)
+def test_callbacks_fire_in_time_then_insertion_order(items):
+    sim, log = _loaded(items)
+    sim.run()
+    want = _expected(items)
+    assert log == want
+    assert sim.events_processed == len(want)
+    assert sim.pending == 0
+    assert sim.now == (want[-1][1] if want else 0.0)
+
+
+@given(items=schedules,
+       cuts=st.lists(st.sampled_from(GRID + [2.5, 3.0, 4.0]), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_windowed_replay_matches_one_run(items, cuts):
+    want = _expected(items)
+    sim, log = _loaded(items)
+    previous = -1.0
+    for edge in sorted(set(cuts)):
+        executed = sim.run_window(edge)
+        assert executed == sum(previous < t <= edge for _, t in want)
+        assert sim.now == edge
+        assert sim.events_processed == len(log)
+        previous = edge
+    sim.run()
+    assert log == want
+    assert sim.events_processed == len(want)
+
+
+@given(items=schedules, until=st.sampled_from(GRID + [3.0, 5.0]),
+       max_events=st.integers(min_value=0, max_value=40))
+@settings(max_examples=150, deadline=None)
+def test_stops_leave_the_clock_and_count_consistent(items, until,
+                                                    max_events):
+    want = _expected(items)
+
+    sim, log = _loaded(items)
+    sim.run(until=until)
+    prefix = [e for e in want if e[1] <= until]
+    assert log == prefix
+    assert sim.events_processed == len(prefix)
+    assert sim.now == until
+    sim.run()
+    assert log == want
+
+    sim, log = _loaded(items)
+    sim.run(max_events=max_events)
+    fired = min(max_events, len(want))
+    assert log == want[:fired]
+    assert sim.events_processed == fired
+    assert sim.now == (want[fired - 1][1] if fired else 0.0)
+    sim.run()
+    assert log == want
+    assert sim.events_processed == len(want)
 
 
 @given(

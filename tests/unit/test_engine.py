@@ -1,15 +1,14 @@
 """Unit tests for the discrete-event kernel (repro.simulation.engine).
 
 Behavioural tests get a fresh binary-heap :class:`Simulator` through
-the ``sim`` fixture; lazy compaction and the window barrier get their
-own classes.
+the ``sim`` fixture; the window barrier gets its own class.
 """
 
 import math
 
 import pytest
 
-from repro.simulation.engine import _COMPACT_MIN_PENDING, Simulator
+from repro.simulation.engine import Simulator
 
 
 @pytest.fixture(params=["heap"])
@@ -68,91 +67,6 @@ class TestScheduling:
         sim.run()
         with pytest.raises(ValueError):
             sim.schedule_at(0.5, lambda: None)
-
-
-class TestCancellation:
-    def test_cancelled_event_skipped(self, sim):
-        fired = []
-        handle = sim.schedule(1.0, lambda: fired.append("x"))
-        handle.cancel()
-        sim.run()
-        assert fired == []
-        assert sim.events_processed == 0
-
-    def test_double_cancel_is_idempotent(self, sim):
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        sim.run()
-        assert sim.events_processed == 0
-
-
-class TestCompaction:
-    """Cancelling most of the queue must shrink it, not leak (satellite:
-    heap-leak fix)."""
-
-    def test_mass_cancellation_compacts_queue(self, sim):
-        n = 4 * _COMPACT_MIN_PENDING
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(n)]
-        assert sim.pending == n
-        # Cancel ~75% of the events: compaction should trigger once the
-        # cancelled fraction crosses one half, so the store must not
-        # retain all the dead entries.
-        survivors = []
-        for i, h in enumerate(handles):
-            if i % 4 == 0:
-                survivors.append(h)
-            else:
-                h.cancel()
-        assert sim.pending < n // 2
-        assert sim.pending >= len(survivors)
-        sim.run()
-        assert sim.events_processed == len(survivors)
-
-    def test_small_queues_skip_compaction(self, sim):
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(8)]
-        for h in handles:
-            h.cancel()
-        # Below _COMPACT_MIN_PENDING nothing compacts eagerly; the pops
-        # still skip every cancelled event.
-        sim.run()
-        assert sim.events_processed == 0
-        assert sim.pending == 0
-
-    def test_compaction_preserves_order_and_results(self):
-        sim = Simulator()
-        fired = []
-        n = 4 * _COMPACT_MIN_PENDING
-        handles = [
-            sim.schedule(float(i + 1) * 0.125, lambda i=i: fired.append(i))
-            for i in range(n)
-        ]
-        for i, h in enumerate(handles):
-            if i % 3:
-                h.cancel()
-        sim.run()
-        assert fired == [i for i in range(n) if i % 3 == 0]
-
-    def test_compaction_inside_a_running_callback(self):
-        # A callback that cancels most of the queue compacts it while
-        # run() is draining that same queue.
-        sim = Simulator()
-        fired = []
-        n = 4 * _COMPACT_MIN_PENDING
-        handles = [
-            sim.schedule(float(i + 2), lambda i=i: fired.append(i))
-            for i in range(n)
-        ]
-
-        def cancel_most():
-            for i, h in enumerate(handles):
-                if i % 4:
-                    h.cancel()
-
-        sim.schedule(1.0, cancel_most)
-        sim.run()
-        assert fired == [i for i in range(n) if i % 4 == 0]
-        assert sim.pending == 0
 
 
 class TestRunControl:
